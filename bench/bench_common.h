@@ -13,7 +13,9 @@
  *                      <dir>/<bench>.trace.json and
  *                      <dir>/<bench>.metrics.json
  *   --threads=<n>      size the runtime::Pool the bench's sweeps fan
- *                      out on (also `--threads <n>`; 0 = all cores).
+ *                      out on (also `--threads <n>`; 0 = all cores;
+ *                      anything but a non-negative integer is an
+ *                      error).
  *                      Output is bit-identical at any value — the
  *                      runtime's determinism contract (docs/runtime.md)
  *   --selfprof         attribute the simulator's *own* wall time
@@ -29,6 +31,7 @@
  *   --timeline-interval=<sec>  enable virtual-time timelines
  *                      (obs/timeline.h): serving producers record
  *                      windowed gauges every <sec> *simulated* seconds
+ *                      (a finite number >= 0; 0 = off)
  *                      and the metrics document gains the v2.2
  *                      "timeline" section. Deterministic (simulated
  *                      time only), so --timeline-interval documents
@@ -43,8 +46,10 @@
  *       return bench::finish(opts);
  *   }
  *
- * parseArgs strips the flags it owns from argv, so harnesses with
- * their own flag parsing (google-benchmark) can consume the rest.
+ * Any other argument is an error (exit 2), except those starting with
+ * `passthrough_prefix` when the caller gives one: parseArgs strips the
+ * flags it owns from argv and leaves those, so a harness with its own
+ * flag parsing (google-benchmark's "--benchmark_") consumes the rest.
  */
 
 #ifndef VESPERA_BENCH_COMMON_H
@@ -57,6 +62,7 @@
 #include <thread>
 
 #include "common/io.h"
+#include "common/parse.h"
 #include "obs/export.h"
 #include "obs/timeline.h"
 #include "runtime/pool.h"
@@ -79,13 +85,33 @@ struct Options
     obs::MetricsMeta meta;
 };
 
+/** Print a flag error and exit 2, like every other bad-input path. */
+[[noreturn]] inline void
+badFlag(const char *bench_name, const char *what, const char *arg)
+{
+    std::fprintf(stderr, "%s: %s: '%s' (see --help)\n", bench_name, what,
+                 arg);
+    std::exit(2);
+}
+
+/** --threads value: a non-negative integer (0 = all cores). */
+inline int
+parseThreads(const char *bench_name, const char *v)
+{
+    long long n = 0;
+    if (!parseInt(v, n) || n < 0 || n > 1024)
+        badFlag(bench_name, "--threads wants an integer in [0, 1024]", v);
+    return static_cast<int>(n);
+}
+
 /**
  * Parse and strip the harness flags from argv. Enables the process
  * profiler when a trace was requested; redirects stdout to /dev/null
  * under --quiet so benches need no conditional printing.
  */
 inline Options
-parseArgs(int &argc, char **argv, const char *bench_name)
+parseArgs(int &argc, char **argv, const char *bench_name,
+          const char *passthrough_prefix = nullptr)
 {
     Options opts;
     opts.name = bench_name;
@@ -104,14 +130,19 @@ parseArgs(int &argc, char **argv, const char *bench_name)
             const std::string dir(arg + 16);
             opts.telemetryDir = dir.empty() ? "." : dir;
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            opts.threads = std::atoi(arg + 10);
-        } else if (std::strcmp(arg, "--threads") == 0 &&
-                   i + 1 < argc) {
-            opts.threads = std::atoi(argv[++i]);
+            opts.threads = parseThreads(bench_name, arg + 10);
+        } else if (std::strcmp(arg, "--threads") == 0) {
+            if (i + 1 >= argc)
+                badFlag(bench_name, "missing value", arg);
+            opts.threads = parseThreads(bench_name, argv[++i]);
         } else if (std::strcmp(arg, "--selfprof") == 0) {
             opts.selfprof = true;
         } else if (std::strncmp(arg, "--timeline-interval=", 20) == 0) {
-            opts.timelineInterval = std::atof(arg + 20);
+            if (!parseDouble(arg + 20, opts.timelineInterval) ||
+                opts.timelineInterval < 0)
+                badFlag(bench_name,
+                        "--timeline-interval wants a number >= 0",
+                        arg + 20);
         } else if (std::strcmp(arg, "--quiet") == 0) {
             opts.quiet = true;
         } else if (std::strcmp(arg, "--help") == 0 ||
@@ -140,19 +171,21 @@ parseArgs(int &argc, char **argv, const char *bench_name)
                 "  --quiet           suppress normal stdout\n",
                 bench_name, bench_name);
             std::exit(0);
-        } else {
+        } else if (passthrough_prefix != nullptr &&
+                   std::strncmp(arg, passthrough_prefix,
+                                std::strlen(passthrough_prefix)) == 0) {
             argv[kept++] = argv[i];
+        } else {
+            badFlag(bench_name, "unknown argument", arg);
         }
     }
     argc = kept;
     argv[argc] = nullptr;
 
-    if (opts.threads <= 0 && opts.threads != 1) {
+    if (opts.threads == 0) {
         const unsigned hw = std::thread::hardware_concurrency();
         opts.threads = hw > 0 ? static_cast<int>(hw) : 1;
     }
-    if (opts.threads < 1)
-        opts.threads = 1;
     runtime::Pool::setGlobalThreads(opts.threads);
 
     if (!opts.telemetryDir.empty()) {

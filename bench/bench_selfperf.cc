@@ -7,9 +7,10 @@
  *  - microbenchmarks of the hot paths (GEMM costing, TPC pipeline
  *    evaluation, collective costing, one decode-step graph), and
  *  - end-to-end self-benchmarks that run whole user-visible workflows
- *    (a serving-engine decode run, a Figure-12 sweep point, the trace
- *    and static analyzers) so regressions in glue code — caching,
- *    scheduling, graph construction — are caught, not just kernel math.
+ *    (a serving-engine decode run, a Figure-12 sweep point, the
+ *    measured and static analyzers) so regressions in glue code —
+ *    caching, scheduling, graph construction — are caught, not just
+ *    kernel math.
  *
  * After the timing loops the harness resets all counters and runs one
  * *fixed-work* scenario, so the exported metrics document carries
@@ -122,29 +123,6 @@ BM_EngineDecodeRun(benchmark::State &state)
 }
 BENCHMARK(BM_EngineDecodeRun);
 
-/**
- * The same decode run on the legacy per-iteration stepper
- * (serve::EngineCore::Legacy). BM_EngineDecodeRun above uses the
- * default event-driven core, so this pair keeps the cores' relative
- * cost on the selfperf record (the event core must never be slower)
- * next to the differential suite that proves them byte-identical
- * (tests/serve/test_engine_equiv.cc).
- */
-void
-BM_EngineDecodeRunLegacy(benchmark::State &state)
-{
-    models::LlamaModel model(models::LlamaConfig::llama31_8b());
-    for (auto _ : state) {
-        serve::EngineConfig ec;
-        ec.maxDecodeBatch = 8;
-        ec.core = serve::EngineCore::Legacy;
-        serve::Engine engine(model, ec);
-        auto m = engine.run(serve::makeFixedTrace(8, 128, 32));
-        benchmark::DoNotOptimize(m.makespan);
-    }
-}
-BENCHMARK(BM_EngineDecodeRunLegacy);
-
 /** One Figure-12 sweep point: monolithic prefill + integrated decode. */
 void
 BM_Fig12SweepPoint(benchmark::State &state)
@@ -179,14 +157,15 @@ BM_Fig12SweepPointUncached(benchmark::State &state)
 }
 BENCHMARK(BM_Fig12SweepPointUncached);
 
-/** Trace-analyzer pass over a captured kernel trace. */
+/** analyzeProgram over a captured kernel trace: the static passes
+ *  plus the measured pipeline attribution. */
 void
 BM_TraceAnalyzer(benchmark::State &state)
 {
     analysis::registerBuiltinKernels();
     auto traced =
         analysis::KernelRegistry::instance().traceAll("softmax");
-    analysis::AnalyzerOptions opts;
+    analysis::StaticAnalyzerOptions opts;
     opts.exportCounters = false; // timing loop must not touch counters
     for (auto _ : state) {
         for (const auto &t : traced) {
@@ -293,7 +272,8 @@ class CapturingReporter : public benchmark::ConsoleReporter
 int
 main(int argc, char **argv)
 {
-    auto opts = bench::parseArgs(argc, argv, "bench_selfperf");
+    auto opts = bench::parseArgs(argc, argv, "bench_selfperf",
+                                 "--benchmark_");
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

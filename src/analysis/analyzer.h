@@ -1,19 +1,18 @@
 /**
  * @file
- * Static analyzer over recorded tpc::Program traces.
+ * Kernel lint findings and the measured trace analyzer.
  *
  * The paper's programmability study (Section 4, Table 4) attributes
  * most of Gaudi-2's kernel-level performance loss to a small set of
  * authoring mistakes: global accesses below the 256 B granularity,
  * dependency chains that expose the 4-cycle vector-instruction
  * latency, under-unrolled loops that starve the four VLIW slots, and
- * random-access patterns where streaming would do. Because our kernels
- * record SSA instruction traces, every one of those anti-patterns is
- * detectable *before* the timing model runs — this module builds the
- * def-use graph, replays the pipeline's issue schedule to attribute
- * each stall cycle to its cause, and reports diagnostics with
- * severity, instruction index, source kernel, and an estimated
- * cycle/byte cost.
+ * random-access patterns where streaming would do. The rules that
+ * detect them run in one place, the static passes over the lifted SSA
+ * IR (analysis/static/static_analyzer.h). This header holds the
+ * finding types they share and analyzeProgram, which adds what only a
+ * replay of the cycle simulator can tell: the measured cycles and the
+ * per-cause attribution of every stall cycle in its IssueTrace.
  */
 
 #ifndef VESPERA_ANALYSIS_ANALYZER_H
@@ -104,25 +103,51 @@ struct RuleSummary
     Bytes wastedBytes = 0;
 };
 
-/** Analyzer knobs. Defaults match the simulated Gaudi-2 TPC. */
-struct AnalyzerOptions
+/** Rule-engine knobs. Defaults match the simulated Gaudi-2 TPC. */
+struct StaticAnalyzerOptions
 {
     tpc::TpcParams params = tpc::TpcParams::forGaudi2();
     /// TPC vector local memory capacity (TpcContext default: 80 KB).
     Bytes localMemoryBytes = 80 * 1024;
     /// Individual diagnostics emitted per rule; totals count them all.
     int maxDiagnosticsPerRule = 8;
-    /// Dependency stall (cycles) below which no per-instruction
+    /// Predicted dependency stall (cycles) below which no
     /// exposed-latency diagnostic is emitted.
     double minStallCycles = 3.0;
     /// Minimum run of address-sequential random accesses to flag.
     int minSequentialRun = 4;
-    /// Publish per-rule counts to obs::CounterRegistry
-    /// ("analysis.diag.<rule>").
+    /// Publish per-rule counts to obs::CounterRegistry:
+    /// "analysis.static.diag.<rule>" from analyzeProgramStatic,
+    /// "analysis.diag.<rule>" from analyzeProgram.
     bool exportCounters = true;
+
+    /// @name IR lifting.
+    /// @{
+    std::size_t maxLoopPeriod = 128;
+    int maxLoopNesting = 3;
+    /// @}
+
+    /// @name Static-only pass thresholds.
+    /// @{
+    /// Peak live bytes / local memory above which register-pressure
+    /// reports Info resp. Warning.
+    double registerPressureInfoFrac = 0.5;
+    double registerPressureWarnFrac = 0.9;
+    /// Achieved II must exceed bound * this factor to flag SWP.
+    double swpGapFactor = 1.2;
+    /// ... and the projected saving must reach this many cycles.
+    double swpMinSavedCycles = 16;
+    /// @}
+
+    /// @name Migration-aware pass thresholds (ported traces only).
+    /// @{
+    /// Dependency-stall fraction of total cycles above which
+    /// lowered-pipelining fires on a ported program.
+    double portStallFrac = 0.10;
+    /// @}
 };
 
-/** Everything the analyzer learned about one trace. */
+/** Everything an analysis learned about one trace. */
 struct Report
 {
     std::string kernel;
@@ -155,9 +180,17 @@ struct Report
     int countFor(const std::string &rule) const;
 };
 
-/** Analyze one recorded trace. Never mutates the program. */
+/**
+ * Analyze one recorded trace. The findings are those of the static
+ * passes for the rules named in analyzer.h (the static-only and
+ * migration rules are dropped); cycles, stalls and their per-cause
+ * attribution are measured by replaying tpc::evaluatePipeline, which
+ * is skipped on malformed (invalid-ssa) traces. Exports
+ * "analysis.programs" and "analysis.diag.<rule>", never the
+ * "analysis.static.*" counters. Never mutates the program.
+ */
 Report analyzeProgram(const tpc::Program &program,
-                      const AnalyzerOptions &options = {});
+                      const StaticAnalyzerOptions &options = {});
 
 } // namespace vespera::analysis
 

@@ -45,7 +45,7 @@ std::string tuneReportText(const std::vector<TuneResult> &results,
                            bool verbose);
 
 /**
- * Project tune results onto trace-side LintEntry records so
+ * Project tune results onto LintEntry records so
  * baselineJson / checkAgainstBaseline apply verbatim: one
  * tune-opportunity diagnostic per kernel whose best configuration
  * improves on the shipped one.

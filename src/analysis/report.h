@@ -1,9 +1,7 @@
 /**
  * @file
- * Rendering of analyzer results: human-readable text, machine-readable
- * JSON (schema "vespera-lint/v1"), and the warnings baseline that lets
- * CI gate on *new* findings without first driving the existing kernel
- * set to zero warnings.
+ * The warnings baseline that lets CI gate lint runs on *new* findings
+ * without first driving the existing kernel set to zero warnings.
  */
 
 #ifndef VESPERA_ANALYSIS_REPORT_H
@@ -26,14 +24,6 @@ struct LintEntry
     std::string shape;
     Report report;
 };
-
-/** Full lint run as JSON (schema "vespera-lint/v1"). */
-json::Value lintReportJson(const std::vector<LintEntry> &entries);
-
-/** Human-readable report. `verbose` includes per-trace stats even for
- *  clean traces; otherwise clean traces get one summary line. */
-std::string lintReportText(const std::vector<LintEntry> &entries,
-                           bool verbose);
 
 /**
  * Warnings baseline (schema "vespera-lint-baseline/v1"): for each

@@ -8,12 +8,12 @@
  * slot per cycle, result latencies from tpc::resultLatency, and a
  * global-memory interface moving whole granules at a bounded rate —
  * and schedules every IR instruction under those rules. It never
- * consults tpc::IssueTrace; the trace analyzer and this model are two
- * independent predictors of the same machine, and
- * tests/analysis/test_static_cost.cc cross-validates them against each
- * other on every registered kernel (tolerance: ±10%; in practice they
- * agree to round-off, and any divergence is a bug in the simulator or
- * the model — that is the point of having both).
+ * consults tpc::IssueTrace; the pipeline replay behind analyzeProgram
+ * and this model are two independent predictors of the same machine,
+ * and tests/analysis/test_static_cost.cc cross-validates them against
+ * each other on every registered kernel (tolerance: ±10%; in practice
+ * they agree to round-off, and any divergence is a bug in the
+ * simulator or the model — that is the point of having both).
  *
  * Alongside the scheduled estimate the model reports three analytic
  * lower bounds — dependence height, busiest-slot resource bound, and

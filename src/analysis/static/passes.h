@@ -2,15 +2,11 @@
  * @file
  * Dataflow passes over the lifted SSA IR.
  *
- * Each pass re-derives one of the kernel lint rules *statically*: the
- * trace analyzer (analysis/analyzer.cc) diagnoses the same
- * anti-patterns from the simulator's IssueTrace after execution; these
- * passes reach the same verdicts from the IR and the static schedule
- * alone. Rules shared with the trace pipeline must keep finding-set
- * parity on the registered kernels (tests pin this); the two
- * static-only passes (register-pressure, swp-opportunity) have no
- * trace counterpart because they reason about structure the pipeline
- * replay does not expose.
+ * Each pass implements one kernel lint rule from the IR and the
+ * static schedule alone. The passes for the rules declared in
+ * analysis/analyzer.h also supply analyzeProgram's findings; the two
+ * static-only passes (register-pressure, swp-opportunity) reason
+ * about structure the pipeline replay does not expose.
  */
 
 #ifndef VESPERA_ANALYSIS_STATIC_PASSES_H
@@ -58,7 +54,7 @@ struct PassContext
     DiagnosticSink &sink;
 };
 
-/// @name Static counterparts of the trace rules.
+/// @name The rules analyzeProgram reports.
 /// @{
 /// Dependence-height analysis: predicted dependency stalls exposing
 /// the latency window (rules::exposedLatency).

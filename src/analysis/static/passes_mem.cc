@@ -1,12 +1,10 @@
 /**
  * @file
  * Memory-shape passes: symbolic stride / footprint analysis over the
- * IR's access provenance (memStream / memOffset / memBytes). These
- * mirror the trace analyzer's memory rules instruction-for-instruction
- * — the trace rules never needed the IssueTrace, so the static
- * versions reach identical finding sets by construction; the IR adds
- * loop context (which loop walks the stream, at what affine stride) to
- * the messages and fix hints.
+ * IR's access provenance (memStream / memOffset / memBytes). None of
+ * these rules needs the IssueTrace; the IR adds loop context (which
+ * loop walks the stream, at what affine stride) to the messages and
+ * fix hints.
  */
 
 #include <map>
@@ -60,8 +58,7 @@ passNarrowAccess(PassContext &ctx)
         Bytes wasted = 0;
         tpc::Slot slot = tpc::Slot::Load;
     };
-    // One finding per distinct (label, size) call-site shape, exactly
-    // like the trace rule.
+    // One finding per distinct (label, size) call-site shape.
     std::map<std::pair<std::int16_t, Bytes>, Group> groups;
     for (std::size_t i = 0; i < program.instrs().size(); i++) {
         const tpc::Instr &instr = program.instrs()[i];
@@ -122,8 +119,7 @@ passRandomShouldStream(PassContext &ctx)
         Run best;
         int sequential = 0;
     };
-    // Sequential-run analysis over the IR's per-stream offsets (same
-    // walk as the trace rule, so the finding sets agree).
+    // Sequential-run analysis over the IR's per-stream offsets.
     std::map<std::uint32_t, StreamState> streams;
     for (std::size_t i = 0; i < program.instrs().size(); i++) {
         const tpc::Instr &instr = program.instrs()[i];

@@ -3,11 +3,10 @@
  * Schedule-shape passes: dependence-height analysis (exposed latency),
  * static VLIW packing (slot imbalance), live-range / register-pressure
  * estimation, and software-pipelining opportunity detection. The first
- * two mirror the trace analyzer's rules over the *predicted* schedule
- * — the static cost model applies the same issue rules the pipeline
- * does, so the finding sets agree on well-formed traces; the last two
- * are static-only (they need loop and live-range structure the
- * IssueTrace does not carry).
+ * two read the *predicted* schedule — the static cost model applies
+ * the same issue rules the pipeline does; the last two are static-only
+ * (they need loop and live-range structure the IssueTrace does not
+ * carry).
  */
 
 #include <algorithm>
@@ -101,8 +100,8 @@ passExposedLatency(PassContext &ctx)
 void
 passSlotImbalance(PassContext &ctx)
 {
-    // Same degenerate-trace guard as the trace rule: occupancy and
-    // stall fractions are meaningless below two instructions.
+    // Degenerate-trace guard: occupancy and stall fractions are
+    // meaningless below two instructions.
     if (ctx.schedule.cycles <= 0 || ctx.ir.size() < 2)
         return;
     const tpc::Program &program = *ctx.ir.program;

@@ -8,9 +8,7 @@ namespace vespera::analysis {
 
 namespace {
 
-/** Emit one Error diagnostic per SSA violation, matching the trace
- *  analyzer's checkSsa wording (the two pipelines must agree on
- *  malformed traces too). */
+/** Emit one Error diagnostic per SSA violation. */
 void
 reportViolations(const StaticIr &ir, DiagnosticSink &sink)
 {

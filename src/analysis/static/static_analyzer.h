@@ -1,23 +1,19 @@
 /**
  * @file
- * Pre-execution static analyzer over recorded TPC kernel traces.
+ * Pre-execution static analyzer over recorded TPC kernel traces: the
+ * one kernel rule engine.
  *
- * The sibling of analysis/analyzer.h with the measurement removed:
- * where analyzeProgram replays the cycle simulator and attributes its
- * IssueTrace, analyzeProgramStatic lifts the trace to SSA IR
+ * analyzeProgramStatic lifts the trace to SSA IR
  * (analysis/static/ir.h), runs dataflow passes over that IR, and
  * predicts issue cycles with the static cost model
  * (analysis/static/cost_model.h) — no simulator cycle is consumed.
- *
- * Every trace rule with a static counterpart (exposed-latency,
- * narrow-access, random-should-stream, slot-imbalance, dead-value,
- * redundant-reload, local-overflow, invalid-ssa) produces the same
- * finding set through both pipelines on the registered kernels;
- * tests/analysis/test_static_cost.cc pins that parity. Two passes are
- * static-only: register-pressure (live-range analysis against the TPC
- * local-memory budget) and swp-opportunity (loops whose achieved
- * initiation interval trails their recurrence/resource bound, i.e.
- * software pipelining would pay).
+ * analyzeProgram (analysis/analyzer.h) reports the findings of the
+ * rules declared there from this pipeline and adds the measured
+ * attribution. Two passes are static-only: register-pressure
+ * (live-range analysis against the TPC local-memory budget) and
+ * swp-opportunity (loops whose achieved initiation interval trails
+ * their recurrence/resource bound, i.e. software pipelining would
+ * pay); the migration-aware passes fire on ported traces only.
  */
 
 #ifndef VESPERA_ANALYSIS_STATIC_STATIC_ANALYZER_H
@@ -54,51 +50,11 @@ inline constexpr const char *loweredPipelining = "lowered-pipelining";
 /// @}
 } // namespace rules
 
-/** Static-analyzer knobs. Defaults match the simulated Gaudi-2 TPC
- *  and the trace analyzer's thresholds (parity depends on it). */
-struct StaticAnalyzerOptions
-{
-    tpc::TpcParams params = tpc::TpcParams::forGaudi2();
-    Bytes localMemoryBytes = 80 * 1024;
-    int maxDiagnosticsPerRule = 8;
-    /// Predicted dependency stall below which no exposed-latency
-    /// diagnostic is emitted (same default as AnalyzerOptions).
-    double minStallCycles = 3.0;
-    int minSequentialRun = 4;
-    /// Publish per-rule counts as "analysis.static.diag.<rule>".
-    bool exportCounters = true;
-
-    /// @name IR lifting.
-    /// @{
-    std::size_t maxLoopPeriod = 128;
-    int maxLoopNesting = 3;
-    /// @}
-
-    /// @name Static-only pass thresholds.
-    /// @{
-    /// Peak live bytes / local memory above which register-pressure
-    /// reports Info resp. Warning.
-    double registerPressureInfoFrac = 0.5;
-    double registerPressureWarnFrac = 0.9;
-    /// Achieved II must exceed bound * this factor to flag SWP.
-    double swpGapFactor = 1.2;
-    /// ... and the projected saving must reach this many cycles.
-    double swpMinSavedCycles = 16;
-    /// @}
-
-    /// @name Migration-aware pass thresholds (ported traces only).
-    /// @{
-    /// Dependency-stall fraction of total cycles above which
-    /// lowered-pipelining fires on a ported program.
-    double portStallFrac = 0.10;
-    /// @}
-};
-
 /** Everything the static pipeline learned about one trace. */
 struct StaticReport
 {
     /// Diagnostics / per-rule summaries / slot counts, in the same
-    /// shape the trace analyzer emits (predictedStallCycles and the
+    /// shape analyzeProgram emits (predictedStallCycles and the
     /// per-cause stalls come from the cost model; measuredStallCycles
     /// stays 0 — nothing was measured).
     Report report;

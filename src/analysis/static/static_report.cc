@@ -155,28 +155,32 @@ staticLintReportText(const std::vector<StaticLintEntry> &entries,
             os << " [" << e.shape << "]";
         os << " ====\n";
         char line[256];
-        std::snprintf(
-            line, sizeof(line),
-            "  %llu instrs -> %zu blocks, %zu loops (depth %d); "
-            "predicted %.0f cycles (%.0f stalled: dep %.0f, mem "
-            "%.0f, slot %.0f, drain %.0f)\n",
-            static_cast<unsigned long long>(r.instructions),
-            e.report.blockCount, e.report.loopCount,
-            e.report.maxLoopDepth, e.report.predictedCycles(),
-            r.predictedStallCycles, r.dependencyStallCycles,
-            r.memoryStallCycles, r.slotStallCycles,
-            r.drainStallCycles);
-        os << line;
-        std::snprintf(
-            line, sizeof(line),
-            "  bounds: critical path %.0f, busiest slot %.0f, "
-            "memory %.0f; peak live %llu values / %llu B\n",
-            e.report.schedule.criticalPathBound,
-            e.report.schedule.slotResourceBound,
-            e.report.schedule.memoryBound,
-            static_cast<unsigned long long>(e.report.maxLiveValues),
-            static_cast<unsigned long long>(e.report.peakLiveBytes));
-        os << line;
+        // Graph-lint entries carry findings but no kernel trace.
+        if (r.instructions > 0) {
+            std::snprintf(
+                line, sizeof(line),
+                "  %llu instrs -> %zu blocks, %zu loops (depth %d); "
+                "predicted %.0f cycles (%.0f stalled: dep %.0f, mem "
+                "%.0f, slot %.0f, drain %.0f)\n",
+                static_cast<unsigned long long>(r.instructions),
+                e.report.blockCount, e.report.loopCount,
+                e.report.maxLoopDepth, e.report.predictedCycles(),
+                r.predictedStallCycles, r.dependencyStallCycles,
+                r.memoryStallCycles, r.slotStallCycles,
+                r.drainStallCycles);
+            os << line;
+            std::snprintf(
+                line, sizeof(line),
+                "  bounds: critical path %.0f, busiest slot %.0f, "
+                "memory %.0f; peak live %llu values / %llu B\n",
+                e.report.schedule.criticalPathBound,
+                e.report.schedule.slotResourceBound,
+                e.report.schedule.memoryBound,
+                static_cast<unsigned long long>(e.report.maxLiveValues),
+                static_cast<unsigned long long>(
+                    e.report.peakLiveBytes));
+            os << line;
+        }
         for (const Diagnostic &d : r.diagnostics) {
             os << "  " << severityName(d.severity) << ": [" << d.rule
                << "]";

@@ -3,8 +3,7 @@
  * Rendering of static-analyzer results: human-readable text, the
  * "vespera-lint-static/v1" JSON schema (per-finding fix hints, IR
  * shape, and the cost model's predicted-cycle breakdown), and the
- * bridge back to the trace report machinery so the warnings baseline
- * ratchet (report.h) applies unchanged to static runs.
+ * bridge to the warnings baseline ratchet (report.h).
  */
 
 #ifndef VESPERA_ANALYSIS_STATIC_STATIC_REPORT_H
@@ -28,15 +27,15 @@ struct StaticLintEntry
 json::Value
 staticLintReportJson(const std::vector<StaticLintEntry> &entries);
 
-/** Human-readable report; layout mirrors lintReportText. */
+/** Human-readable report. `verbose` includes per-trace stats even for
+ *  clean traces; otherwise clean traces get one summary line. */
 std::string
 staticLintReportText(const std::vector<StaticLintEntry> &entries,
                      bool verbose);
 
 /**
- * Project onto trace-side LintEntry records (dropping the schedule and
- * IR shape) so baselineJson / checkAgainstBaseline apply to static
- * runs verbatim — same ratchet semantics, separate baseline file.
+ * Project onto LintEntry records (dropping the schedule and IR shape)
+ * so baselineJson / checkAgainstBaseline apply.
  */
 std::vector<LintEntry>
 toLintEntries(const std::vector<StaticLintEntry> &entries);

@@ -731,13 +731,6 @@ Engine::RunState::fullIteration()
     decodeChunkStep(has_chunk);
 }
 
-bool
-Engine::RunState::fastPathEligible() const
-{
-    return prefill_queue.empty() && !running.empty() &&
-           (waiting.empty() || trace[waiting.front()].arrival > clock);
-}
-
 ServingMetrics
 Engine::RunState::finalize()
 {
@@ -785,13 +778,6 @@ Engine::RunState::finalize()
     return m;
 }
 
-void
-Engine::runLegacy(RunState &st)
-{
-    while (st.remaining > 0)
-        st.fullIteration();
-}
-
 ServingMetrics
 Engine::run(std::vector<Request> trace)
 {
@@ -807,10 +793,8 @@ Engine::run(std::vector<Request> trace)
     prewarmPrefill(trace);
 
     RunState st(*this, trace);
-    if (config_.core == EngineCore::Legacy)
-        runLegacy(st);
-    else
-        runEvent(st);
+    while (st.remaining > 0)
+        st.fullIteration();
     return st.finalize();
 }
 

@@ -43,21 +43,6 @@ enum class SchedPolicy {
                          ///< at some fairness cost).
 };
 
-/**
- * Engine-loop core selector. Both cores produce byte-identical
- * metrics, counters, histograms, and attribution ledgers — fenced by
- * tests/serve/test_engine_equiv.cc — the Event core just proves, in
- * O(1) per step, when the scheduler front-end (SPF re-sort, admission
- * scan, prefill dispatch, idle check) would be a no-op and skips it
- * (docs/runtime.md "Event-driven engine core").
- */
-enum class EngineCore {
-    Event,  ///< Fast-path core (default): skip front-end when no
-            ///< admission event is pending.
-    Legacy, ///< Reference stepper: run every phase every iteration.
-            ///< Kept as the equivalence oracle.
-};
-
 /** KV-cache allocation policy. */
 enum class KvPolicy {
     Paged,      ///< vLLM block-based on-demand allocation.
@@ -89,8 +74,6 @@ struct EngineConfig
     /// Record per-step engine events (see events()).
     bool recordEvents = false;
     DataType dt = DataType::BF16;
-    /// Which run-loop core executes the schedule (same results).
-    EngineCore core = EngineCore::Event;
     /// Label for this engine's virtual-time timeline series
     /// (obs/timeline.h) when the Timeline is enabled; empty means the
     /// Timeline assigns a deterministic "runN" label at publish.
@@ -182,16 +165,10 @@ class Engine
     void prewarmPrefill(const std::vector<Request> &trace);
 
     /**
-     * Mutable state of one run() plus the scheduler phases, shared by
-     * both cores so they cannot drift except in loop structure.
-     * Defined in serve/engine_run.h (internal header).
+     * Mutable state of one run() plus the scheduler phases. Defined in
+     * serve/engine_run.h (internal header).
      */
     struct RunState;
-    /// Reference core: every phase, every iteration (engine.cc).
-    void runLegacy(RunState &st);
-    /// Event core: front-end skipped when provably idle
-    /// (engine_event.cc).
-    void runEvent(RunState &st);
 
     const models::LlamaModel &model_;
     EngineConfig config_;

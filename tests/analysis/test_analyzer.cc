@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit tests for the TPC trace analyzer: every rule fires on a trace
- * crafted to contain exactly that anti-pattern, and the stall
- * attribution agrees with tpc::evaluatePipeline.
+ * Unit tests for analyzeProgram's own part: the measured stall
+ * attribution agrees with tpc::evaluatePipeline, malformed and empty
+ * traces are handled, and the counters it exports. The rules behind
+ * its findings are the static passes (test_static_passes.cc).
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +15,6 @@
 namespace vespera::analysis {
 namespace {
 
-using tpc::Access;
-using tpc::Int5;
 using tpc::MemberRange;
 using tpc::Program;
 using tpc::Tensor;
@@ -43,180 +42,6 @@ serialChain(int length)
     }
     ctx.v_st_tnsr({0, 0, 0, 0, 0}, t, acc);
     return p;
-}
-
-TEST(Analyzer, ExposedLatencyFiresOnSerialChain)
-{
-    Report r = analyzeProgram(serialChain(64));
-    EXPECT_GT(r.countFor(rules::exposedLatency), 0);
-    EXPECT_GT(r.dependencyStallCycles, 0.0);
-    // The chain diagnostic names the producing value.
-    bool named = false;
-    for (const Diagnostic &d : r.diagnostics) {
-        if (d.rule == rules::exposedLatency &&
-            d.message.find('v') != std::string::npos) {
-            named = true;
-        }
-    }
-    EXPECT_TRUE(named);
-}
-
-TEST(Analyzer, InterleavedChainsStallLess)
-{
-    // Eight independent accumulators over the same loads: far fewer
-    // dependency stalls than the serial reduction of the same length.
-    Program p;
-    TpcContext ctx(p, oneTpc());
-    Tensor t({1 << 16}, DataType::FP32);
-    std::vector<Vec> accs;
-    for (int q = 0; q < 8; q++)
-        accs.push_back(ctx.v_zero(64));
-    for (int i = 0; i < 64; i += 8) {
-        std::vector<Vec> xs;
-        for (int u = 0; u < 8; u++)
-            xs.push_back(
-                ctx.v_ld_tnsr({(i + u) * 64, 0, 0, 0, 0}, t, 256));
-        for (int u = 0; u < 8; u++)
-            accs[static_cast<std::size_t>(u)] =
-                ctx.v_add(accs[static_cast<std::size_t>(u)], xs[
-                    static_cast<std::size_t>(u)]);
-    }
-    Report serial = analyzeProgram(serialChain(64));
-    Report unrolled = analyzeProgram(p);
-    EXPECT_LT(unrolled.dependencyStallCycles,
-              serial.dependencyStallCycles);
-}
-
-TEST(Analyzer, NarrowAccessFlagsSubGranuleLoads)
-{
-    Program p;
-    TpcContext ctx(p, oneTpc(), 64);
-    Tensor t({1 << 12}, DataType::FP32);
-    for (int i = 0; i < 8; i++) {
-        Vec v = ctx.v_ld_tnsr({i * 16, 0, 0, 0, 0}, t, 64);
-        ctx.v_st_tnsr({i * 16, 0, 0, 0, 0}, t, v);
-    }
-    Report r = analyzeProgram(p);
-    // One grouped finding per call-site shape (load + store).
-    EXPECT_EQ(r.countFor(rules::narrowAccess), 2);
-    double wasted = 0;
-    for (const Diagnostic &d : r.diagnostics) {
-        if (d.rule == rules::narrowAccess)
-            wasted += static_cast<double>(d.wastedBytes);
-    }
-    // 16 accesses x (256 - 64) wasted bytes each.
-    EXPECT_DOUBLE_EQ(wasted, 16 * (256.0 - 64.0));
-}
-
-TEST(Analyzer, FullGranuleAccessIsClean)
-{
-    Program p;
-    TpcContext ctx(p, oneTpc());
-    Tensor t({1 << 12}, DataType::FP32);
-    Vec v = ctx.v_ld_tnsr({0, 0, 0, 0, 0}, t, 256);
-    ctx.v_st_tnsr({0, 0, 0, 0, 0}, t, v);
-    Report r = analyzeProgram(p);
-    EXPECT_EQ(r.countFor(rules::narrowAccess), 0);
-}
-
-TEST(Analyzer, RandomShouldStreamDetectsSequentialWalk)
-{
-    Program p;
-    TpcContext ctx(p, oneTpc());
-    Tensor t({1 << 16}, DataType::FP32);
-    // 16 Random-tagged loads walking consecutive 256 B blocks.
-    Vec acc = ctx.v_zero(64);
-    for (int i = 0; i < 16; i++) {
-        Vec v =
-            ctx.v_ld_tnsr({i * 64, 0, 0, 0, 0}, t, 256, Access::Random);
-        acc = ctx.v_add(acc, v);
-    }
-    Report r = analyzeProgram(p);
-    EXPECT_EQ(r.countFor(rules::randomShouldStream), 1);
-}
-
-TEST(Analyzer, ScatteredRandomAccessIsNotFlagged)
-{
-    Program p;
-    TpcContext ctx(p, oneTpc());
-    Tensor t({1 << 16}, DataType::FP32);
-    Vec acc = ctx.v_zero(64);
-    // Strided: each access skips a block, so no sequential run forms.
-    for (int i = 0; i < 16; i++) {
-        Vec v = ctx.v_ld_tnsr({i * 128, 0, 0, 0, 0}, t, 256,
-                              Access::Random);
-        acc = ctx.v_add(acc, v);
-    }
-    Report r = analyzeProgram(p);
-    EXPECT_EQ(r.countFor(rules::randomShouldStream), 0);
-}
-
-TEST(Analyzer, DeadValueSeverityDependsOnSlot)
-{
-    Program p;
-    TpcContext ctx(p, oneTpc());
-    Tensor t({1 << 12}, DataType::FP32);
-    (void)ctx.v_ld_tnsr({0, 0, 0, 0, 0}, t, 256); // Dead load: Info.
-    Vec a = ctx.v_ld_tnsr({64, 0, 0, 0, 0}, t, 256);
-    Vec b = ctx.v_ld_tnsr({128, 0, 0, 0, 0}, t, 256);
-    (void)ctx.v_add(a, b); // Dead compute: Warning.
-    ctx.v_st_tnsr({0, 0, 0, 0, 0}, t, a);
-    ctx.v_st_tnsr({64, 0, 0, 0, 0}, t, b);
-    Report r = analyzeProgram(p);
-    EXPECT_EQ(r.countFor(rules::deadValue), 2);
-    int infos = 0;
-    int warnings = 0;
-    for (const Diagnostic &d : r.diagnostics) {
-        if (d.rule != rules::deadValue)
-            continue;
-        (d.severity == Severity::Info ? infos : warnings)++;
-    }
-    EXPECT_EQ(infos, 1);
-    EXPECT_EQ(warnings, 1);
-}
-
-TEST(Analyzer, RedundantReloadAccountsWastedBytes)
-{
-    Program p;
-    TpcContext ctx(p, oneTpc());
-    Tensor t({1 << 12}, DataType::FP32);
-    for (int pass = 0; pass < 3; pass++) {
-        Vec v = ctx.v_ld_tnsr({0, 0, 0, 0, 0}, t, 256);
-        ctx.v_st_tnsr({(pass + 1) * 64, 0, 0, 0, 0}, t, v);
-    }
-    Report r = analyzeProgram(p);
-    ASSERT_EQ(r.countFor(rules::redundantReload), 1);
-    for (const Diagnostic &d : r.diagnostics) {
-        if (d.rule == rules::redundantReload) {
-            EXPECT_EQ(d.wastedBytes, 2u * 256u); // Two re-reads.
-            EXPECT_EQ(d.severity, Severity::Warning); // Fits local mem.
-        }
-    }
-}
-
-TEST(Analyzer, LocalOverflowGradesBySeverity)
-{
-    Program p;
-    TpcContext ctx(p, oneTpc());
-    Tensor t({1 << 12}, DataType::FP32);
-    Vec v = ctx.v_ld_tnsr({0, 0, 0, 0, 0}, t, 256);
-    // 64 lanes x 4 B at lane offset 224: working set 1152 B.
-    ctx.v_st_local(224, v);
-    AnalyzerOptions opts;
-    opts.localMemoryBytes = 1200; // 96% used -> Warning.
-    Report warn = analyzeProgram(p, opts);
-    EXPECT_EQ(warn.countFor(rules::localOverflow), 1);
-    EXPECT_TRUE(warn.hasSeverity(Severity::Warning));
-    EXPECT_FALSE(warn.hasSeverity(Severity::Error));
-    EXPECT_EQ(warn.localBytesUsed, 1152u);
-
-    opts.localMemoryBytes = 1024; // 113% used -> Error.
-    Report err = analyzeProgram(p, opts);
-    EXPECT_TRUE(err.hasSeverity(Severity::Error));
-
-    opts.localMemoryBytes = 80 * 1024; // 1.4% -> clean.
-    Report clean = analyzeProgram(p, opts);
-    EXPECT_EQ(clean.countFor(rules::localOverflow), 0);
 }
 
 TEST(Analyzer, InvalidSsaIsReportedNotReplayed)
@@ -262,20 +87,6 @@ TEST(Analyzer, CriticalPathBoundsBelowCycles)
     EXPECT_LE(r.criticalPathCycles, r.cycles + 1e-9);
 }
 
-TEST(Analyzer, PerRuleCapLimitsEmissionNotCounts)
-{
-    AnalyzerOptions opts;
-    opts.maxDiagnosticsPerRule = 2;
-    Report r = analyzeProgram(serialChain(64), opts);
-    int emitted = 0;
-    for (const Diagnostic &d : r.diagnostics) {
-        if (d.rule == rules::exposedLatency)
-            emitted++;
-    }
-    EXPECT_EQ(emitted, 2);
-    EXPECT_GT(r.countFor(rules::exposedLatency), 2);
-}
-
 TEST(Analyzer, CountersExported)
 {
     obs::CounterRegistry &reg = obs::CounterRegistry::instance();
@@ -285,6 +96,8 @@ TEST(Analyzer, CountersExported)
         reg.counter(std::string("analysis.diag.") +
                     rules::exposedLatency)
             .value();
+    const double static_before =
+        reg.counter("analysis.static.programs").value();
     Report r = analyzeProgram(serialChain(32));
     EXPECT_DOUBLE_EQ(reg.counter("analysis.programs").value(),
                      programs_before + 1);
@@ -294,7 +107,11 @@ TEST(Analyzer, CountersExported)
             .value(),
         diags_before + r.countFor(rules::exposedLatency));
 
-    AnalyzerOptions opts;
+    // The inner static pass run does not count as a static analysis.
+    EXPECT_DOUBLE_EQ(reg.counter("analysis.static.programs").value(),
+                     static_before);
+
+    StaticAnalyzerOptions opts;
     opts.exportCounters = false;
     analyzeProgram(serialChain(32), opts);
     EXPECT_DOUBLE_EQ(reg.counter("analysis.programs").value(),
@@ -312,19 +129,6 @@ TEST(Analyzer, EmptyTraceProducesZeroFindings)
     EXPECT_TRUE(r.rules.empty());
     EXPECT_EQ(r.instructions, 0u);
     EXPECT_EQ(r.cycles, 0.0);
-}
-
-// A single-instruction kernel trivially leaves three slots idle; that
-// is not an imbalance finding (there is nothing to rebalance).
-TEST(Analyzer, SingleInstructionKernelHasNoSlotImbalance)
-{
-    Program p;
-    TpcContext ctx(p, oneTpc());
-    Tensor t({64}, DataType::FP32);
-    (void)ctx.v_ld_tnsr({0, 0, 0, 0, 0}, t, 256);
-    const Report r = analyzeProgram(p);
-    EXPECT_EQ(r.countFor(rules::slotImbalance), 0);
-    EXPECT_FALSE(r.hasSeverity(Severity::Warning));
 }
 
 TEST(Analyzer, KernelNamePropagates)

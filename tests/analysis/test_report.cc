@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/report.h"
+#include "analysis/static/static_report.h"
 
 namespace vespera::analysis {
 namespace {
@@ -43,31 +44,42 @@ makeEntry(const char *kernel,
     return e;
 }
 
+/** The same finding set as a rendered lint-run entry. */
+StaticLintEntry
+makeStaticEntry(const char *kernel, std::vector<Diagnostic> diags = {})
+{
+    LintEntry e = makeEntry(kernel, std::move(diags));
+    StaticLintEntry s;
+    s.kernel = e.kernel;
+    s.shape = e.shape;
+    s.report.report = std::move(e.report);
+    return s;
+}
+
 TEST(Report, JsonRoundTripsThroughParser)
 {
-    std::vector<LintEntry> entries;
-    entries.push_back(makeEntry(
+    std::vector<StaticLintEntry> entries;
+    entries.push_back(makeStaticEntry(
         "k1", {makeDiag(rules::narrowAccess, Severity::Warning, "k1"),
                makeDiag(rules::deadValue, Severity::Info, "k1")}));
-    entries.push_back(makeEntry("k2"));
+    entries.push_back(makeStaticEntry("k2"));
 
     const std::string doc =
-        json::serialize(lintReportJson(entries));
+        json::serialize(staticLintReportJson(entries));
     json::Value v;
     std::string error;
     ASSERT_TRUE(json::parse(doc, v, &error)) << error;
 
     ASSERT_NE(v.find("schema"), nullptr);
-    EXPECT_EQ(v.find("schema")->str(), "vespera-lint/v1");
-    ASSERT_NE(v.find("traces"), nullptr);
-    EXPECT_EQ(v.find("traces")->array().size(), 2u);
+    EXPECT_EQ(v.find("schema")->str(), "vespera-lint-static/v1");
+    ASSERT_NE(v.find("kernels"), nullptr);
+    EXPECT_EQ(v.find("kernels")->array().size(), 2u);
     EXPECT_DOUBLE_EQ(v.findPath("totals.warnings")->number(), 1.0);
     EXPECT_DOUBLE_EQ(v.findPath("totals.infos")->number(), 1.0);
     EXPECT_DOUBLE_EQ(v.findPath("totals.errors")->number(), 0.0);
 
-    const json::Value &trace = v.find("traces")->array().front();
-    const json::Value *diags =
-        trace.find("report")->find("diagnostics");
+    const json::Value &kernel = v.find("kernels")->array().front();
+    const json::Value *diags = kernel.find("diagnostics");
     ASSERT_NE(diags, nullptr);
     ASSERT_EQ(diags->array().size(), 2u);
     EXPECT_EQ(diags->array()[0].find("rule")->str(),
@@ -78,13 +90,13 @@ TEST(Report, JsonRoundTripsThroughParser)
 
 TEST(Report, TextMentionsFindingsAndTotals)
 {
-    std::vector<LintEntry> entries;
-    entries.push_back(makeEntry(
+    std::vector<StaticLintEntry> entries;
+    entries.push_back(makeStaticEntry(
         "softmax",
         {makeDiag(rules::exposedLatency, Severity::Warning,
                   "softmax")}));
-    entries.push_back(makeEntry("clean_kernel"));
-    const std::string text = lintReportText(entries, false);
+    entries.push_back(makeStaticEntry("clean_kernel"));
+    const std::string text = staticLintReportText(entries, false);
     EXPECT_NE(text.find("softmax"), std::string::npos);
     EXPECT_NE(text.find(rules::exposedLatency), std::string::npos);
     EXPECT_NE(text.find("OK  clean_kernel"), std::string::npos);

@@ -4,7 +4,7 @@
  * crafted to contain its anti-pattern, the static-only passes
  * (register-pressure, swp-opportunity) report sensible structure, and
  * degenerate traces (empty, single-instruction) stay clean — the same
- * edge-case contract the trace analyzer honors.
+ * edge-case contract analyzeProgram honors.
  */
 
 #include <gtest/gtest.h>
@@ -48,6 +48,15 @@ TEST(StaticPasses, ExposedLatencyFiresOnSerialChain)
     const StaticReport r = analyzeProgramStatic(serialChain(64));
     EXPECT_GT(r.report.countFor(rules::exposedLatency), 0);
     EXPECT_GT(r.report.dependencyStallCycles, 0.0);
+    // The chain diagnostic names the producing value.
+    bool named = false;
+    for (const Diagnostic &d : r.report.diagnostics) {
+        if (d.rule == rules::exposedLatency &&
+            d.message.find("waiting on v") != std::string::npos) {
+            named = true;
+        }
+    }
+    EXPECT_TRUE(named);
 }
 
 TEST(StaticPasses, EveryFindingCarriesAFixHint)
@@ -68,15 +77,20 @@ TEST(StaticPasses, NarrowAccessNamesTheEnclosingLoop)
         ctx.v_st_tnsr({i * 16, 0, 0, 0, 0}, t, v);
     }
     const StaticReport r = analyzeProgramStatic(p);
+    // One grouped finding per call-site shape (load + store).
     EXPECT_EQ(r.report.countFor(rules::narrowAccess), 2);
     bool names_loop = false;
+    double wasted = 0;
     for (const Diagnostic &d : r.report.diagnostics) {
-        if (d.rule == rules::narrowAccess &&
-            d.message.find("in loop #") != std::string::npos) {
+        if (d.rule != rules::narrowAccess)
+            continue;
+        wasted += static_cast<double>(d.wastedBytes);
+        if (d.message.find("in loop #") != std::string::npos)
             names_loop = true;
-        }
     }
     EXPECT_TRUE(names_loop);
+    // 16 accesses x (256 - 64) wasted bytes each.
+    EXPECT_DOUBLE_EQ(wasted, 16 * (256.0 - 64.0));
 }
 
 TEST(StaticPasses, RandomShouldStreamConfirmsAffineStride)
@@ -175,6 +189,16 @@ TEST(StaticPasses, LocalOverflowEscalatesToError)
     EXPECT_EQ(r.report.localBytesUsed, (1000u + 64u) * 4u);
     ASSERT_EQ(r.report.countFor(rules::localOverflow), 1);
     EXPECT_TRUE(r.report.hasSeverity(Severity::Error));
+
+    opt.localMemoryBytes = 4500; // 95% used -> Warning.
+    const StaticReport warn = analyzeProgramStatic(p, opt);
+    EXPECT_EQ(warn.report.countFor(rules::localOverflow), 1);
+    EXPECT_TRUE(warn.report.hasSeverity(Severity::Warning));
+    EXPECT_FALSE(warn.report.hasSeverity(Severity::Error));
+
+    opt.localMemoryBytes = 80 * 1024; // 5% used -> clean.
+    const StaticReport clean = analyzeProgramStatic(p, opt);
+    EXPECT_EQ(clean.report.countFor(rules::localOverflow), 0);
 }
 
 TEST(StaticPasses, InvalidSsaShortCircuitsWithErrors)
@@ -209,8 +233,104 @@ TEST(StaticPasses, PerRuleEmissionCapKeepsFullCounts)
     EXPECT_EQ(emitted, 2);
 }
 
-// The degenerate-trace contract, shared with the trace analyzer
-// (tests/analysis/test_analyzer.cc pins the trace side).
+TEST(StaticPasses, InterleavedChainsStallLess)
+{
+    // Eight independent accumulators over the same loads: far fewer
+    // dependency stalls than the serial reduction of the same length.
+    Program p;
+    TpcContext ctx(p, oneTpc());
+    Tensor t({1 << 16}, DataType::FP32);
+    std::vector<Vec> accs;
+    for (int q = 0; q < 8; q++)
+        accs.push_back(ctx.v_zero(64));
+    for (int i = 0; i < 64; i += 8) {
+        std::vector<Vec> xs;
+        for (int u = 0; u < 8; u++)
+            xs.push_back(
+                ctx.v_ld_tnsr({(i + u) * 64, 0, 0, 0, 0}, t, 256));
+        for (int u = 0; u < 8; u++)
+            accs[static_cast<std::size_t>(u)] =
+                ctx.v_add(accs[static_cast<std::size_t>(u)], xs[
+                    static_cast<std::size_t>(u)]);
+    }
+    const StaticReport serial = analyzeProgramStatic(serialChain(64));
+    const StaticReport unrolled = analyzeProgramStatic(p);
+    EXPECT_LT(unrolled.report.dependencyStallCycles,
+              serial.report.dependencyStallCycles);
+}
+
+TEST(StaticPasses, FullGranuleAccessIsClean)
+{
+    Program p;
+    TpcContext ctx(p, oneTpc());
+    Tensor t({1 << 12}, DataType::FP32);
+    Vec v = ctx.v_ld_tnsr({0, 0, 0, 0, 0}, t, 256);
+    ctx.v_st_tnsr({0, 0, 0, 0, 0}, t, v);
+    const Report r = analyzeProgramStatic(p).report;
+    EXPECT_EQ(r.countFor(rules::narrowAccess), 0);
+}
+
+TEST(StaticPasses, ScatteredRandomAccessIsNotFlagged)
+{
+    Program p;
+    TpcContext ctx(p, oneTpc());
+    Tensor t({1 << 16}, DataType::FP32);
+    Vec acc = ctx.v_zero(64);
+    // Strided: each access skips a block, so no sequential run forms.
+    for (int i = 0; i < 16; i++) {
+        Vec v = ctx.v_ld_tnsr({i * 128, 0, 0, 0, 0}, t, 256,
+                              Access::Random);
+        acc = ctx.v_add(acc, v);
+    }
+    const Report r = analyzeProgramStatic(p).report;
+    EXPECT_EQ(r.countFor(rules::randomShouldStream), 0);
+}
+
+TEST(StaticPasses, DeadValueSeverityDependsOnSlot)
+{
+    Program p;
+    TpcContext ctx(p, oneTpc());
+    Tensor t({1 << 12}, DataType::FP32);
+    (void)ctx.v_ld_tnsr({0, 0, 0, 0, 0}, t, 256); // Dead load: Info.
+    Vec a = ctx.v_ld_tnsr({64, 0, 0, 0, 0}, t, 256);
+    Vec b = ctx.v_ld_tnsr({128, 0, 0, 0, 0}, t, 256);
+    (void)ctx.v_add(a, b); // Dead compute: Warning.
+    ctx.v_st_tnsr({0, 0, 0, 0, 0}, t, a);
+    ctx.v_st_tnsr({64, 0, 0, 0, 0}, t, b);
+    const Report r = analyzeProgramStatic(p).report;
+    EXPECT_EQ(r.countFor(rules::deadValue), 2);
+    int infos = 0;
+    int warnings = 0;
+    for (const Diagnostic &d : r.diagnostics) {
+        if (d.rule != rules::deadValue)
+            continue;
+        (d.severity == Severity::Info ? infos : warnings)++;
+    }
+    EXPECT_EQ(infos, 1);
+    EXPECT_EQ(warnings, 1);
+}
+
+TEST(StaticPasses, RedundantReloadAccountsWastedBytes)
+{
+    Program p;
+    TpcContext ctx(p, oneTpc());
+    Tensor t({1 << 12}, DataType::FP32);
+    for (int pass = 0; pass < 3; pass++) {
+        Vec v = ctx.v_ld_tnsr({0, 0, 0, 0, 0}, t, 256);
+        ctx.v_st_tnsr({(pass + 1) * 64, 0, 0, 0, 0}, t, v);
+    }
+    const Report r = analyzeProgramStatic(p).report;
+    ASSERT_EQ(r.countFor(rules::redundantReload), 1);
+    for (const Diagnostic &d : r.diagnostics) {
+        if (d.rule == rules::redundantReload) {
+            EXPECT_EQ(d.wastedBytes, 2u * 256u); // Two re-reads.
+            EXPECT_EQ(d.severity, Severity::Warning); // Fits local mem.
+        }
+    }
+}
+
+// The degenerate-trace contract, shared with analyzeProgram
+// (tests/analysis/test_analyzer.cc pins the measured side).
 TEST(StaticPasses, EmptyProgramProducesZeroFindings)
 {
     Program p;

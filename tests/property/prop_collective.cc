@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "coll/collective.h"
+#include "prop_rows.h"
 
 namespace vespera::coll {
 namespace {
@@ -84,19 +85,6 @@ TEST_P(CollectiveProperty, LatencyFloor)
     EXPECT_GT(tiny.time, 5e-6);
 }
 
-TEST_P(CollectiveProperty, HcclScalesWithDevices)
-{
-    const auto &p = GetParam();
-    if (p.backend != CollectiveModel::Backend::Hccl || p.devices >= 8)
-        GTEST_SKIP();
-    auto model = modelFor(p);
-    auto fewer = model.run(p.op, p.bytes, p.devices);
-    auto more = model.run(p.op, p.bytes, 8);
-    // With more P2P links active, utilization never drops.
-    EXPECT_GE(more.busBandwidthUtilization,
-              fewer.busBandwidthUtilization * 0.99);
-}
-
 std::vector<CollCase>
 collCases()
 {
@@ -120,6 +108,22 @@ collCases()
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CollectiveProperty,
                          ::testing::ValuesIn(collCases()));
+
+// HCCL rows below the 8-device maximum only.
+const bool kHcclScalesWithDevices = prop::registerRows<CollectiveProperty>(
+    "Sweep/CollectiveProperty", "HcclScalesWithDevices", collCases(),
+    [](const CollCase &p) {
+        return p.backend == CollectiveModel::Backend::Hccl &&
+               p.devices < 8;
+    },
+    [](CollectiveProperty &, const CollCase &p) {
+        auto model = modelFor(p);
+        auto fewer = model.run(p.op, p.bytes, p.devices);
+        auto more = model.run(p.op, p.bytes, 8);
+        // With more P2P links active, utilization never drops.
+        EXPECT_GE(more.busBandwidthUtilization,
+                  fewer.busBandwidthUtilization * 0.99);
+    });
 
 } // namespace
 } // namespace vespera::coll

@@ -8,6 +8,7 @@
 
 #include "hw/mme.h"
 #include "kern/gemm.h"
+#include "prop_rows.h"
 
 namespace vespera::kern {
 namespace {
@@ -82,20 +83,6 @@ TEST_P(GemmProperty, Fp32NeverFasterThanBf16)
     EXPECT_GE(fp32.time, bf16.time);
 }
 
-TEST_P(GemmProperty, GaudiConfigurableNeverWorseThanFixed)
-{
-    const auto &p = GetParam();
-    if (p.device != DeviceKind::Gaudi2)
-        GTEST_SKIP() << "Gaudi-only invariant";
-    hw::MmeModel mme;
-    hw::GemmShape shape{p.m, p.k, p.n, p.batch};
-    auto fixed = mme.gemmWithGeometry(shape, DataType::BF16,
-                                      hw::MmeModel::fixedGeometry());
-    auto best = mme.gemm(shape, DataType::BF16);
-    // The selector tolerates 2% slack to prefer power-gated configs.
-    EXPECT_LE(best.time, fixed.time * 1.021);
-}
-
 std::vector<GemmCase>
 gemmCases()
 {
@@ -115,6 +102,23 @@ gemmCases()
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmProperty,
                          ::testing::ValuesIn(gemmCases()));
+
+// Gaudi-only invariant: the configurable MME geometry.
+const bool kGaudiConfigurableNeverWorseThanFixed =
+    prop::registerRows<GemmProperty>(
+        "Shapes/GemmProperty", "GaudiConfigurableNeverWorseThanFixed",
+        gemmCases(),
+        [](const GemmCase &p) { return p.device == DeviceKind::Gaudi2; },
+        [](GemmProperty &, const GemmCase &p) {
+            hw::MmeModel mme;
+            hw::GemmShape shape{p.m, p.k, p.n, p.batch};
+            auto fixed = mme.gemmWithGeometry(
+                shape, DataType::BF16, hw::MmeModel::fixedGeometry());
+            auto best = mme.gemm(shape, DataType::BF16);
+            // The selector tolerates 2% slack to prefer power-gated
+            // configs.
+            EXPECT_LE(best.time, fixed.time * 1.021);
+        });
 
 } // namespace
 } // namespace vespera::kern

@@ -8,6 +8,7 @@
 
 #include "models/dlrm.h"
 #include "models/llama.h"
+#include "prop_rows.h"
 
 namespace vespera::models {
 namespace {
@@ -30,7 +31,7 @@ PrintTo(const LlamaCase &c, std::ostream *os)
 
 class LlamaProperty : public ::testing::TestWithParam<LlamaCase>
 {
-  protected:
+  public:
     LlamaProperty()
         : model_(LlamaConfig::llama31_8b())
     {
@@ -65,24 +66,6 @@ TEST_P(LlamaProperty, StepTimeMonotoneInBatch)
     EXPECT_GE(t2, t1);
 }
 
-TEST_P(LlamaProperty, TensorParallelismShrinksStepTime)
-{
-    const auto &p = GetParam();
-    if (p.tp != 1)
-        GTEST_SKIP();
-    LlamaServingConfig one;
-    one.attention = p.backend;
-    LlamaServingConfig four = one;
-    four.tpDevices = 4;
-    Seconds t1 = model_.stepTime(p.device, p.batch, 1, 2048, false,
-                                 one);
-    Seconds t4 = model_.stepTime(p.device, p.batch, 1, 2048, false,
-                                 four);
-    // Communication keeps it well above a 4x speedup.
-    EXPECT_LT(t4, t1);
-    EXPECT_GT(t4, t1 / 4);
-}
-
 TEST_P(LlamaProperty, ServeTotalsConsistent)
 {
     const auto &p = GetParam();
@@ -102,18 +85,42 @@ TEST_P(LlamaProperty, ServeTotalsConsistent)
                 r.avgPowerPerDevice * r.totalTime * p.tp, 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, LlamaProperty,
-    ::testing::Values(
-        LlamaCase{DeviceKind::Gaudi2, 1, 1, AttentionBackend::Static},
-        LlamaCase{DeviceKind::Gaudi2, 16, 1, AttentionBackend::Static},
-        LlamaCase{DeviceKind::Gaudi2, 16, 4,
-                  AttentionBackend::VllmOpt},
-        LlamaCase{DeviceKind::Gaudi2, 64, 1,
-                  AttentionBackend::VllmBase},
-        LlamaCase{DeviceKind::A100, 1, 1, AttentionBackend::Static},
-        LlamaCase{DeviceKind::A100, 16, 4, AttentionBackend::VllmOpt},
-        LlamaCase{DeviceKind::A100, 64, 1, AttentionBackend::Static}));
+std::vector<LlamaCase>
+llamaCases()
+{
+    return {
+        {DeviceKind::Gaudi2, 1, 1, AttentionBackend::Static},
+        {DeviceKind::Gaudi2, 16, 1, AttentionBackend::Static},
+        {DeviceKind::Gaudi2, 16, 4, AttentionBackend::VllmOpt},
+        {DeviceKind::Gaudi2, 64, 1, AttentionBackend::VllmBase},
+        {DeviceKind::A100, 1, 1, AttentionBackend::Static},
+        {DeviceKind::A100, 16, 4, AttentionBackend::VllmOpt},
+        {DeviceKind::A100, 64, 1, AttentionBackend::Static},
+    };
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, LlamaProperty,
+                         ::testing::ValuesIn(llamaCases()));
+
+// Single-device rows only: they are the baseline tp=4 is measured
+// against.
+const bool kTensorParallelismShrinksStepTime =
+    prop::registerRows<LlamaProperty>(
+        "Sweep/LlamaProperty", "TensorParallelismShrinksStepTime",
+        llamaCases(), [](const LlamaCase &p) { return p.tp == 1; },
+        [](LlamaProperty &f, const LlamaCase &p) {
+            LlamaServingConfig one;
+            one.attention = p.backend;
+            LlamaServingConfig four = one;
+            four.tpDevices = 4;
+            Seconds t1 = f.model_.stepTime(p.device, p.batch, 1, 2048,
+                                           false, one);
+            Seconds t4 = f.model_.stepTime(p.device, p.batch, 1, 2048,
+                                           false, four);
+            // Communication keeps it well above a 4x speedup.
+            EXPECT_LT(t4, t1);
+            EXPECT_GT(t4, t1 / 4);
+        });
 
 // ----------------------------------------------------------------- DLRM
 
@@ -175,9 +182,8 @@ TEST_P(DlrmProperty, ThroughputGrowsWithBatch)
 
 TEST_P(DlrmProperty, MultiDeviceConsistent)
 {
+    // Every row's batch splits evenly across the 4 devices.
     const auto &p = GetParam();
-    if (p.batch % 4 != 0)
-        GTEST_SKIP();
     DlrmRunConfig run;
     run.batch = p.batch;
     run.embVectorBytes = p.vecBytes;

@@ -112,4 +112,16 @@ echo '{"schema": "something-else/v9"}' > "$tmp/alien.json"
 "$stat_bin" "$tmp/base.json" 2> /dev/null
 [ $? -eq 2 ] || fail "missing operand not rejected with exit 2"
 
+# 11. Malformed or negative thresholds are usage errors (exit 2), not
+#     a silent 0 that fails every metric or an override that never
+#     matches.
+for bad in --threshold=abc --threshold=-0.1 --threshold= \
+           --threshold=counters.hbm=x --threshold=counters.hbm=-1 \
+           --threshold=0.1x; do
+    "$stat_bin" "$bad" "$tmp/base.json" "$tmp/base.json" 2> /dev/null
+    [ $? -eq 2 ] || fail "$bad not rejected with exit 2"
+done
+"$stat_bin" --threshold=1e6 "$tmp/base.json" "$tmp/base.json" \
+    > /dev/null || fail "exponent threshold rejected"
+
 echo "STAT_OK"

@@ -158,4 +158,14 @@ echo "$err" | grep -q -- "--timeline-interval" \
 "$stat_bin" timeline "$tmp/base.json" 2> /dev/null
 [ $? -eq 2 ] || fail "missing operand not rejected with exit 2"
 
+# 13. Malformed or negative --skip-windows / --threshold values are
+#     usage errors (exit 2), not a silent 0.
+for bad in --skip-windows=abc --skip-windows=-1 --skip-windows= \
+           --skip-windows=2x --threshold=abc --threshold=-1 \
+           --threshold=run.goodput=x; do
+    "$stat_bin" timeline "$bad" "$tmp/base.json" "$tmp/base.json" \
+        2> /dev/null
+    [ $? -eq 2 ] || fail "timeline $bad not rejected with exit 2"
+done
+
 echo "TIMELINE_STAT_OK"

@@ -3,19 +3,16 @@
  * vespera-lint: static analysis over the repo's TPC kernels and model
  * graphs.
  *
- * Two modes share one CLI:
+ * Three modes share one CLI:
  *
- *  - trace (default): runs every kernel registered in
- *    analysis::KernelRegistry under trace capture, analyzes each
- *    recorded tpc::Program against the cycle simulator's IssueTrace,
- *    lints the DLRM dense graph at raw and compiled stages, and
- *    reports findings as text and/or JSON (schema "vespera-lint/v1").
- *
- *  - static: lifts the same recorded traces to SSA IR and runs the
- *    pre-execution analyzer (analysis/static/) — dataflow passes plus
- *    the static cost model — without consuming a simulator cycle.
- *    Reports use schema "vespera-lint-static/v1" (per-finding fix
- *    hints, IR shape, predicted-cycle breakdown).
+ *  - lint (default): runs every kernel registered in
+ *    analysis::KernelRegistry under trace capture, lifts each recorded
+ *    tpc::Program to SSA IR and runs the static passes
+ *    (analysis/static/) — the one kernel rule engine — plus the static
+ *    cost model, without consuming a simulator cycle. It also lints
+ *    the DLRM dense graph at raw and compiled stages. Reports use
+ *    schema "vespera-lint-static/v1" (per-finding fix hints, IR shape,
+ *    predicted-cycle breakdown).
  *
  *  - migrate: lowers every CUDA kernel desc in the migration corpus
  *    (port/corpus.h) onto tpc::Program, checks functional parity
@@ -40,7 +37,7 @@
  * fails the build.
  *
  * Usage:
- *   vespera-lint [static|tune|migrate] [--list] [--kernel=SUBSTR]
+ *   vespera-lint [tune|migrate] [--list] [--kernel=SUBSTR]
  *                [--json[=PATH]] [--baseline=PATH]
  *                [--write-baseline=PATH] [--update-baseline]
  *                [--fail-on=error|warning|none] [--verbose]
@@ -56,7 +53,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analyzer.h"
 #include "analysis/kernel_registry.h"
 #include "analysis/migrate/migrate_report.h"
 #include "analysis/migrate/scorecard.h"
@@ -67,6 +63,7 @@
 #include "analysis/report.h"
 #include "analysis/static/static_analyzer.h"
 #include "analysis/static/static_report.h"
+#include "common/parse.h"
 #include "graph/compiler.h"
 #include "graph/lint.h"
 #include "models/dlrm.h"
@@ -76,13 +73,11 @@ namespace {
 
 using vespera::analysis::Diagnostic;
 using vespera::analysis::LintEntry;
-using vespera::analysis::Report;
 using vespera::analysis::Severity;
 using vespera::analysis::StaticLintEntry;
 
 struct Options
 {
-    bool staticMode = false;  ///< "static" subcommand.
     bool tuneMode = false;    ///< "tune" subcommand.
     bool migrateMode = false; ///< "migrate" subcommand.
     int topK = 5;            ///< Exact verifications per kernel (tune).
@@ -108,10 +103,7 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [static|tune|migrate] [options]\n"
-        "  static                 pre-execution analyzer (SSA IR +\n"
-        "                         static cost model) instead of the\n"
-        "                         trace/simulator pipeline\n"
+        "usage: %s [tune|migrate] [options]\n"
         "  migrate                CUDA->TPC migration scorecard:\n"
         "                         lower the CUDA corpus, check parity\n"
         "                         vs the reference interpreter, report\n"
@@ -133,7 +125,8 @@ usage(const char *argv0)
         "  --baseline=PATH        fail when warnings exceed baseline\n"
         "  --write-baseline=PATH  write the current warnings baseline\n"
         "  --update-baseline      rewrite --baseline's file in place\n"
-        "                         from this run (skips the check)\n"
+        "                         from this run (skips the check;\n"
+        "                         not with --kernel)\n"
         "  --fail-on=SEV          error (default) | warning | none\n"
         "  --verbose              per-trace stats even when clean\n",
         argv0);
@@ -153,16 +146,18 @@ parseArgs(int argc, char **argv, Options &opt)
             }
             return nullptr;
         };
-        if (arg == "static") {
-            opt.staticMode = true;
-        } else if (arg == "tune") {
+        if (arg == "tune") {
             opt.tuneMode = true;
         } else if (arg == "migrate") {
             opt.migrateMode = true;
         } else if (const char *v = value("--top-k")) {
-            opt.topK = std::atoi(v);
-            if (opt.topK < 1)
+            long long k = 0;
+            if (!vespera::parseInt(v, k) || k < 1 || k > (1 << 20)) {
+                std::fprintf(stderr, "--top-k: expected a positive "
+                                     "integer, got '%s'\n", v);
                 return false;
+            }
+            opt.topK = static_cast<int>(k);
         } else if (const char *v = value("--coeffs")) {
             opt.coeffsPath = v;
         } else if (const char *v = value("--calibrate")) {
@@ -198,37 +193,25 @@ parseArgs(int argc, char **argv, Options &opt)
             return false;
         }
     }
-    // --update-baseline without a --baseline has nothing to rewrite.
-    if (opt.updateBaseline && opt.baselinePath.empty())
+    // --update-baseline without a --baseline has nothing to rewrite,
+    // and under --kernel it would drop every other kernel from it.
+    if (opt.updateBaseline &&
+        (opt.baselinePath.empty() || !opt.kernelFilter.empty()))
         return false;
     // The subcommands are mutually exclusive; calibration is a tune
     // operation.
-    if (opt.staticMode + opt.tuneMode + opt.migrateMode > 1)
+    if (opt.tuneMode && opt.migrateMode)
         return false;
     if (!opt.calibratePath.empty() && !opt.tuneMode)
         return false;
     return true;
 }
 
-/** Wrap graph-lint diagnostics in a Report so they share the render /
- *  baseline path with kernel traces. */
-Report
-graphReport(const std::string &name, std::vector<Diagnostic> diags)
-{
-    Report r;
-    r.kernel = name;
-    for (Diagnostic &d : diags) {
-        vespera::analysis::RuleSummary &s = r.rules[d.rule];
-        s.count++;
-        s.costCycles += d.costCycles;
-        s.wastedBytes += d.wastedBytes;
-        r.diagnostics.push_back(std::move(d));
-    }
-    return r;
-}
-
+/** Lint the DLRM dense graph at raw and compiled stages; the findings
+ *  share the render / baseline path with kernel traces. */
 void
-appendGraphEntries(const Options &opt, std::vector<LintEntry> &entries)
+appendGraphEntries(const Options &opt,
+                   std::vector<StaticLintEntry> &entries)
 {
     using vespera::models::DlrmConfig;
     using vespera::models::DlrmModel;
@@ -254,11 +237,18 @@ appendGraphEntries(const Options &opt, std::vector<LintEntry> &entries)
             model.buildDenseGraph(DlrmRunConfig{});
         if (stage.compiled)
             vespera::graph::Compiler().compile(g);
-        LintEntry e;
+        StaticLintEntry e;
         e.kernel = stage.name;
         e.shape = "rm1 batch=1024";
-        e.report =
-            graphReport(stage.name, vespera::graph::lintGraph(g));
+        vespera::analysis::Report &r = e.report.report;
+        r.kernel = stage.name;
+        for (Diagnostic &d : vespera::graph::lintGraph(g)) {
+            vespera::analysis::RuleSummary &s = r.rules[d.rule];
+            s.count++;
+            s.costCycles += d.costCycles;
+            s.wastedBytes += d.wastedBytes;
+            r.diagnostics.push_back(std::move(d));
+        }
         entries.push_back(std::move(e));
     }
 }
@@ -275,63 +265,93 @@ writeFile(const std::string &path, const std::string &content)
     return true;
 }
 
-/**
- * Everything after rendering, identical in both modes: baseline
- * writing / in-place update / comparison, and the --fail-on gate.
- * Returns the process exit code.
- */
-int
-finishRun(const Options &opt, const std::vector<LintEntry> &entries)
+/** Read and parse the JSON file at `path`; `what` names it in the
+ *  error message. */
+bool
+loadJson(const std::string &path, const char *what,
+         vespera::json::Value &out)
 {
-    const std::string baseline_doc = vespera::json::serialize(
-        vespera::analysis::baselineJson(entries));
+    std::ifstream in(path);
+    if (!in) {
+        std::fprintf(stderr, "cannot read %s %s\n", what, path.c_str());
+        return false;
+    }
+    std::stringstream buf;
+    buf << in.rdbuf();
+    std::string error;
+    if (!vespera::json::parse(buf.str(), out, &error)) {
+        std::fprintf(stderr, "%s %s: %s\n", what, path.c_str(),
+                     error.c_str());
+        return false;
+    }
+    return true;
+}
+
+/**
+ * The baseline half of every mode: write `doc` to --write-baseline,
+ * rewrite --baseline in place (--update-baseline; comparing against
+ * the file just written would be vacuous, so the check is skipped),
+ * or compare against --baseline with `check`. Returns 0, 1 on a
+ * regression, 2 on an I/O error.
+ */
+template <class Check>
+int
+baselineStep(const Options &opt, const vespera::json::Value &doc,
+             Check check)
+{
+    const std::string text = vespera::json::serialize(doc);
     if (!opt.writeBaselinePath.empty() &&
-        !writeFile(opt.writeBaselinePath, baseline_doc)) {
+        !writeFile(opt.writeBaselinePath, text)) {
         return 2;
     }
     if (opt.updateBaseline) {
-        // Rewrite the ratchet from this run; comparing against the
-        // file we just wrote would be vacuous, so skip the check.
-        if (!writeFile(opt.baselinePath, baseline_doc))
+        if (!writeFile(opt.baselinePath, text))
             return 2;
         std::fprintf(stderr, "baseline %s updated\n",
                      opt.baselinePath.c_str());
+        return 0;
     }
+    if (opt.baselinePath.empty())
+        return 0;
+    vespera::json::Value baseline;
+    if (!loadJson(opt.baselinePath, "baseline", baseline))
+        return 2;
+    const vespera::analysis::BaselineCheck result = check(baseline);
+    for (const std::string &failure : result.failures)
+        std::fprintf(stderr, "BASELINE: %s\n", failure.c_str());
+    return result.ok ? 0 : 1;
+}
 
-    int rc = 0;
-    if (!opt.baselinePath.empty() && !opt.updateBaseline) {
-        std::ifstream in(opt.baselinePath);
-        if (!in) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         opt.baselinePath.c_str());
-            return 2;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        vespera::json::Value baseline;
-        std::string error;
-        if (!vespera::json::parse(buf.str(), baseline, &error)) {
-            std::fprintf(stderr, "baseline %s: %s\n",
-                         opt.baselinePath.c_str(), error.c_str());
-            return 2;
-        }
-        const vespera::analysis::BaselineCheck check =
-            vespera::analysis::checkAgainstBaseline(entries, baseline);
-        for (const std::string &failure : check.failures)
-            std::fprintf(stderr, "BASELINE: %s\n", failure.c_str());
-        if (!check.ok)
+/** True (after saying so) when `report` has a finding at or above
+ *  --fail-on. */
+bool
+failsOn(const Options &opt, const std::string &kernel,
+        const vespera::analysis::Report &report)
+{
+    if (opt.failOnNothing || !report.hasSeverity(opt.failOn))
+        return false;
+    std::fprintf(stderr, "FAIL: %s has findings at or above %s\n",
+                 kernel.c_str(),
+                 vespera::analysis::severityName(opt.failOn));
+    return true;
+}
+
+/** Baseline step and --fail-on gate of the warnings-baseline modes
+ *  (lint and tune). Returns the process exit code. */
+int
+finishRun(const Options &opt, const std::vector<LintEntry> &entries)
+{
+    int rc = baselineStep(
+        opt, vespera::analysis::baselineJson(entries),
+        [&entries](const vespera::json::Value &baseline) {
+            return vespera::analysis::checkAgainstBaseline(entries,
+                                                           baseline);
+        });
+    if (rc == 2)
+        return rc;
+    for (const LintEntry &e : entries) {
+        if (failsOn(opt, e.kernel, e.report))
             rc = 1;
-    }
-    if (!opt.failOnNothing) {
-        for (const LintEntry &e : entries) {
-            if (e.report.hasSeverity(opt.failOn)) {
-                std::fprintf(
-                    stderr, "FAIL: %s has findings at or above %s\n",
-                    e.kernel.c_str(),
-                    vespera::analysis::severityName(opt.failOn));
-                rc = 1;
-            }
-        }
     }
     return rc;
 }
@@ -348,20 +368,22 @@ emitJson(const Options &opt, const vespera::json::Value &doc)
     return writeFile(opt.jsonPath, text) ? 0 : 2;
 }
 
+/** The default mode: the static passes over every registered kernel,
+ *  plus the graph lint. */
 int
-runStatic(const Options &opt)
+runLint(const Options &opt)
 {
-    vespera::analysis::KernelRegistry &reg =
-        vespera::analysis::KernelRegistry::instance();
     std::vector<StaticLintEntry> entries;
     for (vespera::analysis::TracedKernel &t :
-         reg.traceAll(opt.kernelFilter)) {
+         vespera::analysis::KernelRegistry::instance().traceAll(
+             opt.kernelFilter)) {
         StaticLintEntry e;
         e.kernel = t.name;
         e.shape = t.shape;
         e.report = vespera::analysis::analyzeProgramStatic(t.program);
         entries.push_back(std::move(e));
     }
+    appendGraphEntries(opt, entries);
     if (entries.empty()) {
         std::fprintf(stderr, "no kernels match filter '%s'\n",
                      opt.kernelFilter.c_str());
@@ -422,18 +444,11 @@ runTune(const Options &opt)
     vespera::analysis::TunerOptions topts;
     topts.topK = opt.topK;
     if (!opt.coeffsPath.empty()) {
-        std::ifstream in(opt.coeffsPath);
-        if (!in) {
-            std::fprintf(stderr, "cannot read coeffs %s\n",
-                         opt.coeffsPath.c_str());
-            return 2;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
         vespera::json::Value doc;
+        if (!loadJson(opt.coeffsPath, "coeffs", doc))
+            return 2;
         std::string error;
-        if (!vespera::json::parse(buf.str(), doc, &error) ||
-            !vespera::analysis::ProxyModel::fromJson(doc, loaded,
+        if (!vespera::analysis::ProxyModel::fromJson(doc, loaded,
                                                      &error)) {
             std::fprintf(stderr, "coeffs %s: %s\n",
                          opt.coeffsPath.c_str(), error.c_str());
@@ -469,8 +484,9 @@ runTune(const Options &opt)
 /**
  * migrate: the CUDA->TPC porting scorecard. The baseline format
  * ("vespera-lint-migrate-baseline/v1", per-kernel parity + achieved
- * fraction) differs from the warnings baseline, so this mode has its
- * own finish path instead of finishRun.
+ * fraction) differs from the warnings baseline, and parity failures
+ * gate too, so this mode has its own finish path instead of
+ * finishRun.
  */
 int
 runMigrate(const Options &opt)
@@ -503,60 +519,24 @@ runMigrate(const Options &opt)
             return rc;
     }
 
-    const std::string baseline_doc = vespera::json::serialize(
-        vespera::analysis::migrateBaselineJson(entries));
-    if (!opt.writeBaselinePath.empty() &&
-        !writeFile(opt.writeBaselinePath, baseline_doc)) {
-        return 2;
-    }
-    if (opt.updateBaseline) {
-        if (!writeFile(opt.baselinePath, baseline_doc))
-            return 2;
-        std::fprintf(stderr, "baseline %s updated\n",
-                     opt.baselinePath.c_str());
-    }
-
-    int rc = 0;
-    if (!opt.baselinePath.empty() && !opt.updateBaseline) {
-        std::ifstream in(opt.baselinePath);
-        if (!in) {
-            std::fprintf(stderr, "cannot read baseline %s\n",
-                         opt.baselinePath.c_str());
-            return 2;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        vespera::json::Value baseline;
-        std::string error;
-        if (!vespera::json::parse(buf.str(), baseline, &error)) {
-            std::fprintf(stderr, "baseline %s: %s\n",
-                         opt.baselinePath.c_str(), error.c_str());
-            return 2;
-        }
-        const vespera::analysis::BaselineCheck check =
-            vespera::analysis::checkMigrateBaseline(entries, baseline);
-        for (const std::string &failure : check.failures)
-            std::fprintf(stderr, "BASELINE: %s\n", failure.c_str());
-        if (!check.ok)
+    int rc = baselineStep(
+        opt, vespera::analysis::migrateBaselineJson(entries),
+        [&entries](const vespera::json::Value &baseline) {
+            return vespera::analysis::checkMigrateBaseline(entries,
+                                                           baseline);
+        });
+    if (rc == 2)
+        return rc;
+    // Parity failures are always fatal; analyzer findings gate at the
+    // usual --fail-on severity.
+    for (const vespera::analysis::MigrateEntry &e : entries) {
+        if (!opt.failOnNothing && !e.parity) {
+            std::fprintf(stderr, "FAIL: %s fails parity\n",
+                         e.kernel.c_str());
             rc = 1;
-    }
-    if (!opt.failOnNothing) {
-        // Parity failures are always fatal; analyzer findings gate at
-        // the usual --fail-on severity.
-        for (const vespera::analysis::MigrateEntry &e : entries) {
-            if (!e.parity) {
-                std::fprintf(stderr, "FAIL: %s fails parity\n",
-                             e.kernel.c_str());
-                rc = 1;
-            }
-            if (e.analysis.report.hasSeverity(opt.failOn)) {
-                std::fprintf(
-                    stderr, "FAIL: %s has findings at or above %s\n",
-                    e.kernel.c_str(),
-                    vespera::analysis::severityName(opt.failOn));
-                rc = 1;
-            }
         }
+        if (failsOn(opt, e.kernel, e.analysis.report))
+            rc = 1;
     }
     return rc;
 }
@@ -602,37 +582,5 @@ main(int argc, char **argv)
         return runMigrate(opt);
     if (opt.tuneMode)
         return runTune(opt);
-    if (opt.staticMode)
-        return runStatic(opt);
-
-    std::vector<LintEntry> entries;
-    for (vespera::analysis::TracedKernel &t :
-         reg.traceAll(opt.kernelFilter)) {
-        LintEntry e;
-        e.kernel = t.name;
-        e.shape = t.shape;
-        e.report = vespera::analysis::analyzeProgram(t.program);
-        entries.push_back(std::move(e));
-    }
-    appendGraphEntries(opt, entries);
-
-    if (entries.empty()) {
-        std::fprintf(stderr, "no kernels match filter '%s'\n",
-                     opt.kernelFilter.c_str());
-        return 2;
-    }
-
-    if (!opt.json || !opt.jsonPath.empty()) {
-        std::fputs(
-            vespera::analysis::lintReportText(entries, opt.verbose)
-                .c_str(),
-            stdout);
-    }
-    if (opt.json) {
-        const int rc =
-            emitJson(opt, vespera::analysis::lintReportJson(entries));
-        if (rc != 0)
-            return rc;
-    }
-    return finishRun(opt, entries);
+    return runLint(opt);
 }

@@ -103,6 +103,7 @@
 #include "common/io.h"
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/parse.h"
 
 namespace {
 
@@ -136,6 +137,30 @@ struct Finding
     double candidate = 0;
     double change = 0; ///< Relative change (inf when baseline is 0).
 };
+
+/**
+ * Parse a --threshold value: FRAC (the default) or PREFIX=FRAC (an
+ * override). FRAC must be a finite number >= 0. Says why on failure.
+ */
+bool
+parseThreshold(const char *value, Config &cfg)
+{
+    const char *eq = std::strchr(value, '=');
+    const char *frac_text = eq != nullptr ? eq + 1 : value;
+    double frac = 0;
+    if (!vespera::parseDouble(frac_text, frac) || frac < 0) {
+        std::fprintf(stderr,
+                     "vespera-stat: --threshold wants a number >= 0, "
+                     "got '%s'\n",
+                     frac_text);
+        return false;
+    }
+    if (eq == nullptr)
+        cfg.threshold = frac;
+    else
+        cfg.overrides.push_back({std::string(value, eq), frac});
+    return true;
+}
 
 double
 thresholdFor(const Config &cfg, const std::string &name)
@@ -556,17 +581,18 @@ timelineMain(int argc, char **argv)
     for (int i = 1; i < argc; i++) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--threshold=", 12) == 0) {
-            const std::string rest(arg + 12);
-            const std::size_t eq = rest.find('=');
-            if (eq == std::string::npos) {
-                cfg.threshold = std::atof(rest.c_str());
-            } else {
-                cfg.overrides.push_back(
-                    {rest.substr(0, eq),
-                     std::atof(rest.c_str() + eq + 1)});
-            }
+            if (!parseThreshold(arg + 12, cfg))
+                return 2;
         } else if (std::strncmp(arg, "--skip-windows=", 15) == 0) {
-            skip = static_cast<std::size_t>(std::atoi(arg + 15));
+            long long n = 0;
+            if (!vespera::parseInt(arg + 15, n) || n < 0) {
+                std::fprintf(stderr,
+                             "vespera-stat: --skip-windows wants a "
+                             "non-negative integer, got '%s'\n",
+                             arg + 15);
+                return 2;
+            }
+            skip = static_cast<std::size_t>(n);
         } else if (std::strncmp(arg, "--ignore=", 9) == 0) {
             cfg.ignores.emplace_back(arg + 9);
         } else if (std::strcmp(arg, "--json") == 0) {
@@ -744,15 +770,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; i++) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--threshold=", 12) == 0) {
-            const std::string rest(arg + 12);
-            const std::size_t eq = rest.find('=');
-            if (eq == std::string::npos) {
-                cfg.threshold = std::atof(rest.c_str());
-            } else {
-                cfg.overrides.push_back(
-                    {rest.substr(0, eq),
-                     std::atof(rest.c_str() + eq + 1)});
-            }
+            if (!parseThreshold(arg + 12, cfg))
+                return 2;
         } else if (std::strncmp(arg, "--ignore=", 9) == 0) {
             cfg.ignores.emplace_back(arg + 9);
         } else if (std::strcmp(arg, "--compare-benchmarks") == 0) {
