@@ -157,21 +157,19 @@ BM_Fig12SweepPointUncached(benchmark::State &state)
 }
 BENCHMARK(BM_Fig12SweepPointUncached);
 
-/** analyzeProgram over a captured kernel trace: the static passes
- *  plus the measured pipeline attribution. */
+/** analyzeProgram over a captured kernel trace: the eight kernel
+ *  rules' static passes plus one pipeline replay. */
 void
 BM_TraceAnalyzer(benchmark::State &state)
 {
     analysis::registerBuiltinKernels();
-    auto traced =
-        analysis::KernelRegistry::instance().traceAll("softmax");
+    const auto traced =
+        analysis::KernelRegistry::instance().trace("softmax");
     analysis::StaticAnalyzerOptions opts;
     opts.exportCounters = false; // timing loop must not touch counters
     for (auto _ : state) {
-        for (const auto &t : traced) {
-            auto rep = analysis::analyzeProgram(t.program, opts);
-            benchmark::DoNotOptimize(rep.diagnostics.size());
-        }
+        auto rep = analysis::analyzeProgram(traced.program, opts);
+        benchmark::DoNotOptimize(rep.diagnostics.size());
     }
 }
 BENCHMARK(BM_TraceAnalyzer);
@@ -181,13 +179,11 @@ void
 BM_StaticAnalyzer(benchmark::State &state)
 {
     analysis::registerBuiltinKernels();
-    auto traced =
-        analysis::KernelRegistry::instance().traceAll("softmax");
+    const auto traced =
+        analysis::KernelRegistry::instance().trace("softmax");
     for (auto _ : state) {
-        for (const auto &t : traced) {
-            auto rep = analysis::analyzeProgramStatic(t.program);
-            benchmark::DoNotOptimize(&rep);
-        }
+        auto rep = analysis::analyzeProgramStatic(traced.program);
+        benchmark::DoNotOptimize(&rep);
     }
 }
 BENCHMARK(BM_StaticAnalyzer);
@@ -223,11 +219,10 @@ runFixedScenario()
     model.serve(DeviceKind::Gaudi2, cfg);
 
     analysis::registerBuiltinKernels();
-    for (const auto &t :
-         analysis::KernelRegistry::instance().traceAll("softmax")) {
-        analysis::analyzeProgram(t.program);
-        analysis::analyzeProgramStatic(t.program);
-    }
+    const auto traced =
+        analysis::KernelRegistry::instance().trace("softmax");
+    analysis::analyzeProgram(traced.program);
+    analysis::analyzeProgramStatic(traced.program);
 }
 
 /**

@@ -10,9 +10,10 @@
  * random-access patterns where streaming would do. The rules that
  * detect them run in one place, the static passes over the lifted SSA
  * IR (analysis/static/static_analyzer.h). This header holds the
- * finding types they share and analyzeProgram, which adds what only a
- * replay of the cycle simulator can tell: the measured cycles and the
- * per-cause attribution of every stall cycle in its IssueTrace.
+ * finding types they share and analyzeProgram, which runs the passes
+ * of the rules declared here and adds the simulator's measured cycles;
+ * its per-cause stall attribution and critical path come from the
+ * same issue schedule the simulator runs (tpc::scheduleIssue).
  */
 
 #ifndef VESPERA_ANALYSIS_ANALYZER_H
@@ -103,48 +104,18 @@ struct RuleSummary
     Bytes wastedBytes = 0;
 };
 
-/** Rule-engine knobs. Defaults match the simulated Gaudi-2 TPC. */
+/// Individual diagnostics emitted per rule; RuleSummary counts them all.
+inline constexpr int kMaxDiagnosticsPerRule = 8;
+
+/** Rule-engine options. The machine is the simulated Gaudi-2 TPC
+ *  (tpc::TpcParams::forGaudi2(), tpc::kLocalMemoryBytes); the rule
+ *  thresholds are named constants in analysis/static/passes.h. */
 struct StaticAnalyzerOptions
 {
-    tpc::TpcParams params = tpc::TpcParams::forGaudi2();
-    /// TPC vector local memory capacity (TpcContext default: 80 KB).
-    Bytes localMemoryBytes = 80 * 1024;
-    /// Individual diagnostics emitted per rule; totals count them all.
-    int maxDiagnosticsPerRule = 8;
-    /// Predicted dependency stall (cycles) below which no
-    /// exposed-latency diagnostic is emitted.
-    double minStallCycles = 3.0;
-    /// Minimum run of address-sequential random accesses to flag.
-    int minSequentialRun = 4;
     /// Publish per-rule counts to obs::CounterRegistry:
     /// "analysis.static.diag.<rule>" from analyzeProgramStatic,
     /// "analysis.diag.<rule>" from analyzeProgram.
     bool exportCounters = true;
-
-    /// @name IR lifting.
-    /// @{
-    std::size_t maxLoopPeriod = 128;
-    int maxLoopNesting = 3;
-    /// @}
-
-    /// @name Static-only pass thresholds.
-    /// @{
-    /// Peak live bytes / local memory above which register-pressure
-    /// reports Info resp. Warning.
-    double registerPressureInfoFrac = 0.5;
-    double registerPressureWarnFrac = 0.9;
-    /// Achieved II must exceed bound * this factor to flag SWP.
-    double swpGapFactor = 1.2;
-    /// ... and the projected saving must reach this many cycles.
-    double swpMinSavedCycles = 16;
-    /// @}
-
-    /// @name Migration-aware pass thresholds (ported traces only).
-    /// @{
-    /// Dependency-stall fraction of total cycles above which
-    /// lowered-pipelining fires on a ported program.
-    double portStallFrac = 0.10;
-    /// @}
 };
 
 /** Everything an analysis learned about one trace. */
@@ -158,8 +129,9 @@ struct Report
     double cycles = 0;
     /// Stall cycles as measured by tpc::evaluatePipeline.
     double measuredStallCycles = 0;
-    /// Analyzer's attribution total (per-cause stalls + drain). By
-    /// construction this equals measuredStallCycles; tests enforce it.
+    /// Attribution total (per-cause stalls + drain). The attribution
+    /// is read from the issue schedule the simulator runs, so this
+    /// equals measuredStallCycles; tests enforce it.
     double predictedStallCycles = 0;
     double dependencyStallCycles = 0;
     double memoryStallCycles = 0;
@@ -181,11 +153,12 @@ struct Report
 };
 
 /**
- * Analyze one recorded trace. The findings are those of the static
- * passes for the rules named in analyzer.h (the static-only and
- * migration rules are dropped); cycles, stalls and their per-cause
- * attribution are measured by replaying tpc::evaluatePipeline, which
- * is skipped on malformed (invalid-ssa) traces. Exports
+ * Analyze one recorded trace. Runs only the static passes of the rules
+ * named in analyzer.h (not the static-only and migration rules); the
+ * per-cause stall attribution and the critical path come from the
+ * static schedule, and the cycles and measured stalls from one
+ * tpc::evaluatePipeline replay (so the tpc.* counters see it), which
+ * is skipped on empty and malformed (invalid-ssa) traces. Exports
  * "analysis.programs" and "analysis.diag.<rule>", never the
  * "analysis.static.*" counters. Never mutates the program.
  */

@@ -55,7 +55,7 @@ migrateKernel(const port::CorpusEntry &entry,
 
     const port::ReferenceResult ref = port::runReference(entry.desc);
     out.maxRelError = maxRelativeError(entry.desc, *run, ref);
-    out.parity = out.maxRelError <= options.parityTolerance;
+    out.parity = out.maxRelError <= kParityTolerance;
 
     out.portedTime = run->launch.time;
     out.handTime = entry.handTime ? entry.handTime() : 0;
@@ -65,7 +65,7 @@ migrateKernel(const port::CorpusEntry &entry,
     out.slowdownVsA100 =
         out.a100Time > 0 ? out.portedTime / out.a100Time : 0;
 
-    out.analysis = analyzeProgramStatic(program, options.analyzer);
+    out.analysis = analyzeProgramStatic(program);
     out.portedCycles = out.analysis.predictedCycles();
 
     if (options.exportCounters) {

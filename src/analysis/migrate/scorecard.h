@@ -33,14 +33,14 @@
 
 namespace vespera::analysis {
 
-/** Scorecard knobs. */
+/// Max per-element relative error the parity check accepts (the
+/// lowering is lane-exact in practice; the tolerance absorbs
+/// reassociated reductions).
+inline constexpr double kParityTolerance = 2e-3;
+
+/** Scorecard options. */
 struct MigrateOptions
 {
-    StaticAnalyzerOptions analyzer;
-    /// Max per-element relative error the parity check accepts (the
-    /// lowering is lane-exact in practice; the tolerance absorbs
-    /// reassociated reductions).
-    double parityTolerance = 2e-3;
     /// Publish port.* counters to obs::CounterRegistry.
     bool exportCounters = true;
 };

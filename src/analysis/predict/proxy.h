@@ -11,8 +11,8 @@
  * as a byte-identical builtin copy compiled into the library so
  * binaries predict correctly from any working directory; a test pins
  * the two together. Accuracy contract: within ±15% of scheduleStatic
- * on held-out shapes of every registry kernel (the static model is
- * itself within ±10% of the cycle simulator), enforced by
+ * on held-out shapes of every registry kernel (the static model runs
+ * the cycle simulator's issue schedule), enforced by
  * tests/analysis/test_predict_proxy.cc and CI's predict-accuracy job.
  */
 

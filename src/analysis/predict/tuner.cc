@@ -225,6 +225,7 @@ autotuneKernel(const TunableKernel &k, const TunerOptions &opts)
     obs::Counter &errCtr =
         registry.counter("analysis.predict.proxy_error_ppm");
 
+    const tpc::TpcParams params = tpc::TpcParams::forGaudi2();
     TuneResult result;
     result.kernel = k.name;
     result.shape =
@@ -235,8 +236,7 @@ autotuneKernel(const TunableKernel &k, const TunerOptions &opts)
     std::vector<double> f0;
     std::vector<AxisAnchor> anchors;
     if (k.kind == TuneKind::Tpc) {
-        f0 = tpcBasisAt(k, k.base, opts.params,
-                        &result.base.exactCycles);
+        f0 = tpcBasisAt(k, k.base, params, &result.base.exactCycles);
         result.base.config = k.base;
         result.base.proxyCycles = model.predictBasis(k.name, f0);
         if (opts.exportCounters)
@@ -269,7 +269,7 @@ autotuneKernel(const TunableKernel &k, const TunerOptions &opts)
             TuneConfig varied = k.base;
             setAxisValue(varied, axis, x1);
             anchor.basis =
-                tpcBasisAt(k, varied, opts.params, nullptr);
+                tpcBasisAt(k, varied, params, nullptr);
             if (opts.exportCounters)
                 anchorCtr.add(1);
             anchors.push_back(std::move(anchor));
@@ -335,7 +335,7 @@ autotuneKernel(const TunableKernel &k, const TunerOptions &opts)
         cand.proxyCycles = proxy[order[r]];
         cand.exactCycles =
             config == k.base ? result.base.exactCycles
-                             : exactCycles(k, config, opts.params);
+                             : exactCycles(k, config, params);
         if (opts.exportCounters)
             verifiedCtr.add(1);
         errPpmSum += std::round(
@@ -378,11 +378,12 @@ autotuneAll(const std::string &filter, const TunerOptions &opts)
 }
 
 TuneCandidate
-exhaustiveBest(const TunableKernel &k, const TunerOptions &opts)
+exhaustiveBest(const TunableKernel &k)
 {
+    const tpc::TpcParams params = tpc::TpcParams::forGaudi2();
     TuneCandidate best;
     for (const TuneConfig &config : enumerateConfigs(k)) {
-        const double cycles = exactCycles(k, config, opts.params);
+        const double cycles = exactCycles(k, config, params);
         if (best.exactCycles < 0 || cycles < best.exactCycles) {
             best.config = config;
             best.exactCycles = cycles;

@@ -35,9 +35,9 @@ namespace vespera::analysis {
 /** Autotuner knobs. */
 struct TunerOptions
 {
-    /// Configurations verified with the exact scheduler.
+    /// Configurations verified with the exact scheduler (on the
+    /// simulated Gaudi-2 TPC, tpc::TpcParams::forGaudi2()).
     int topK = 5;
-    tpc::TpcParams params = tpc::TpcParams::forGaudi2();
     /// Proxy coefficients; nullptr = ProxyModel::builtin().
     const ProxyModel *model = nullptr;
     /// Export analysis.predict.* counters (off for test isolation).
@@ -93,8 +93,7 @@ std::vector<TuneResult> autotuneAll(const std::string &filter = "",
 
 /** Exhaustive exact-static search over the full space — the oracle
  *  the rank-agreement test compares autotuneKernel against. */
-TuneCandidate exhaustiveBest(const TunableKernel &k,
-                             const TunerOptions &opts = {});
+TuneCandidate exhaustiveBest(const TunableKernel &k);
 
 } // namespace vespera::analysis
 

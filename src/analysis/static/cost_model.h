@@ -1,25 +1,17 @@
 /**
  * @file
- * Static cost model: predicts per-kernel issue cycles from the lifted
- * SSA IR, before the cycle simulator runs.
+ * Static cost model: per-kernel issue cycles and roofline bounds from
+ * the lifted SSA IR.
  *
- * The model re-derives the TPC's issue discipline from first
- * principles over the IR — in-order issue, one instruction per VLIW
- * slot per cycle, result latencies from tpc::resultLatency, and a
- * global-memory interface moving whole granules at a bounded rate —
- * and schedules every IR instruction under those rules. It never
- * consults tpc::IssueTrace; the pipeline replay behind analyzeProgram
- * and this model are two independent predictors of the same machine,
- * and tests/analysis/test_static_cost.cc cross-validates them against
- * each other on every registered kernel (tolerance: ±10%; in practice
- * they agree to round-off, and any divergence is a bug in the
- * simulator or the model — that is the point of having both).
- *
- * Alongside the scheduled estimate the model reports three analytic
- * lower bounds — dependence height, busiest-slot resource bound, and
- * memory-interface bound — whose max is the roofline no schedule can
- * beat; the gap between the scheduled estimate and that max is the
- * statically-visible optimization headroom.
+ * The issue schedule is tpc::scheduleIssue's — the one TPC issue loop
+ * (in-order issue, one instruction per VLIW slot per cycle, result
+ * latencies from tpc::resultLatency, a global-memory interface moving
+ * whole granules at a bounded rate) — without the simulator's
+ * telemetry. The model adds the per-cause stall sums the passes read
+ * and three analytic lower bounds — dependence height, busiest-slot
+ * resource bound, and memory-interface bound — whose max is the
+ * roofline no schedule can beat; the gap between the scheduled cycles
+ * and that max is the statically-visible optimization headroom.
  */
 
 #ifndef VESPERA_ANALYSIS_STATIC_COST_MODEL_H
@@ -32,21 +24,12 @@
 
 namespace vespera::analysis {
 
-/** Per-instruction outcome of the static schedule. */
-struct ScheduledInstr
-{
-    double issueCycle = 0;
-    double stallCycles = 0;
-    tpc::StallCause cause = tpc::StallCause::None;
-    /// Source value whose latency bound the issue (Dependency only).
-    std::int32_t criticalSrc = -1;
-};
-
 /** The static schedule and its cycle prediction. */
 struct StaticSchedule
 {
-    std::vector<ScheduledInstr> instrs;
-    /// Predicted total issue cycles (the cross-validated number).
+    /// Per-instruction issue records, indexed like the program.
+    std::vector<tpc::IssuedInstr> instrs;
+    /// Predicted total issue cycles.
     double cycles = 0;
     double stallCycles = 0;
     double dependencyStallCycles = 0;

@@ -105,7 +105,7 @@ shadowsInteriorLoop(const std::vector<Item> &items, std::size_t i,
  */
 bool
 detectLoopsOneLevel(std::vector<Item> &items, std::vector<Loop> &loops,
-                    int depth, const LiftOptions &options)
+                    int depth)
 {
     std::vector<Item> out;
     out.reserve(items.size());
@@ -116,7 +116,7 @@ detectLoopsOneLevel(std::vector<Item> &items, std::vector<Loop> &loops,
         std::size_t best_period = 0;
         std::size_t best_trips = 0;
         const std::size_t max_p =
-            std::min(options.maxLoopPeriod, (n - i) / 2);
+            std::min(kMaxLoopPeriod, (n - i) / 2);
         for (std::size_t p = 1; p <= max_p; p++) {
             // Count consecutive repetitions of items[i, i+p).
             std::size_t trips = 1;
@@ -436,7 +436,7 @@ StaticIr::maxLoopDepth() const
 }
 
 StaticIr
-liftProgram(const tpc::Program &program, const LiftOptions &options)
+liftProgram(const tpc::Program &program)
 {
     StaticIr ir;
     ir.program = &program;
@@ -485,8 +485,8 @@ liftProgram(const tpc::Program &program, const LiftOptions &options)
     items.reserve(instrs.size());
     for (std::size_t i = 0; i < instrs.size(); i++)
         items.push_back({instrSignature(instrs[i]), i, 1});
-    for (int level = 0; level < options.maxLoopNesting; level++) {
-        if (!detectLoopsOneLevel(items, ir.loops, level, options))
+    for (int level = 0; level < kMaxLoopNesting; level++) {
+        if (!detectLoopsOneLevel(items, ir.loops, level))
             break;
     }
 

@@ -21,11 +21,9 @@
  *    consumed in iteration t+1, the recurrences that bound software
  *    pipelining.
  *
- * Everything downstream — the dataflow passes in passes.h and the
- * static cost model in cost_model.h — consumes this IR, never the
- * pipeline's IssueTrace. That is the point: the static pipeline is an
- * independent predictor that can be cross-validated against the cycle
- * simulator.
+ * Everything downstream — the dataflow passes in passes.h, the static
+ * cost model in cost_model.h and the predictor features — consumes
+ * this IR.
  */
 
 #ifndef VESPERA_ANALYSIS_STATIC_IR_H
@@ -172,22 +170,17 @@ struct StaticIr
     int maxLoopDepth() const;
 };
 
-/** Lifting knobs. */
-struct LiftOptions
-{
-    /// Longest iteration body (in instructions at the current
-    /// detection level) the periodicity scan will consider.
-    std::size_t maxLoopPeriod = 128;
-    /// Levels of bottom-up loop-nesting recovery.
-    int maxLoopNesting = 3;
-};
+/// Longest iteration body (in instructions at the current detection
+/// level) the periodicity scan considers.
+inline constexpr std::size_t kMaxLoopPeriod = 128;
+/// Levels of bottom-up loop-nesting recovery.
+inline constexpr int kMaxLoopNesting = 3;
 
 /**
  * Lift `program` into SSA IR. Always succeeds; on malformed SSA the
  * result carries `violations` and no block/loop structure.
  */
-StaticIr liftProgram(const tpc::Program &program,
-                     const LiftOptions &options = {});
+StaticIr liftProgram(const tpc::Program &program);
 
 } // namespace vespera::analysis
 

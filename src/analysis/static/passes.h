@@ -12,19 +12,39 @@
 #ifndef VESPERA_ANALYSIS_STATIC_PASSES_H
 #define VESPERA_ANALYSIS_STATIC_PASSES_H
 
+#include <span>
+
 #include "analysis/static/static_analyzer.h"
 
 namespace vespera::analysis {
+
+/// @name Rule thresholds.
+/// @{
+/// Predicted dependency stall (cycles) below which no exposed-latency
+/// diagnostic is emitted.
+inline constexpr double kMinStallCycles = 3.0;
+/// Minimum run of address-sequential random accesses to flag
+/// (random-should-stream).
+inline constexpr int kMinSequentialRun = 4;
+/// Peak live bytes / local memory above which register-pressure
+/// reports Info resp. Warning.
+inline constexpr double kRegisterPressureInfoFrac = 0.5;
+inline constexpr double kRegisterPressureWarnFrac = 0.9;
+/// Achieved II must exceed bound * this factor to flag SWP ...
+inline constexpr double kSwpGapFactor = 1.2;
+/// ... and the projected saving must reach this many cycles.
+inline constexpr double kSwpMinSavedCycles = 16;
+/// Dependency-stall fraction of total cycles at or above which
+/// lowered-pipelining fires on a ported program.
+inline constexpr double kPortStallFrac = 0.10;
+/// @}
 
 /** Collects findings into a StaticReport, enforcing the per-rule
  *  emission cap (the per-rule RuleSummary still counts everything). */
 class DiagnosticSink
 {
   public:
-    DiagnosticSink(Report &report, int max_per_rule)
-        : report_(report), maxPerRule_(max_per_rule)
-    {
-    }
+    explicit DiagnosticSink(Report &report) : report_(report) {}
 
     void
     add(Diagnostic d)
@@ -33,7 +53,7 @@ class DiagnosticSink
         s.count++;
         s.costCycles += d.costCycles;
         s.wastedBytes += d.wastedBytes;
-        if (s.count <= maxPerRule_) {
+        if (s.count <= kMaxDiagnosticsPerRule) {
             d.kernel = report_.kernel;
             report_.diagnostics.push_back(std::move(d));
         }
@@ -41,7 +61,6 @@ class DiagnosticSink
 
   private:
     Report &report_;
-    int maxPerRule_;
 };
 
 /** Everything a pass may read and write. */
@@ -49,7 +68,7 @@ struct PassContext
 {
     const StaticIr &ir;
     const StaticSchedule &schedule;
-    const StaticAnalyzerOptions &options;
+    const tpc::TpcParams &params;
     StaticReport &report; ///< For side outputs (live ranges, ...).
     DiagnosticSink &sink;
 };
@@ -100,6 +119,34 @@ void passStagingRedundancy(PassContext &ctx);
 /// (rules::loweredPipelining).
 void passLoweredPipelining(PassContext &ctx);
 /// @}
+
+using Pass = void (*)(PassContext &ctx);
+
+/// The passes for the rules analyzeProgram reports, in report order.
+inline constexpr Pass kernelRulePasses[] = {
+    passExposedLatency, passNarrowAccess,   passRandomShouldStream,
+    passSlotImbalance,  passDeadValue,      passRedundantReload,
+    passLocalOverflow,
+};
+
+/// Every pass, in report order: analyzeProgramStatic's list.
+inline constexpr Pass allPasses[] = {
+    passExposedLatency,      passNarrowAccess,
+    passRandomShouldStream,  passSlotImbalance,
+    passDeadValue,           passRedundantReload,
+    passLocalOverflow,       passRegisterPressure,
+    passSwpOpportunity,      passDivergenceEmulation,
+    passCoalescingLoss,      passStagingRedundancy,
+    passLoweredPipelining,
+};
+
+/**
+ * Lift `program`, schedule it with the static cost model and run
+ * `passes` in order. A malformed trace gets one invalid-ssa Error per
+ * SSA violation and no schedule or pass. Publishes no counter.
+ */
+StaticReport runPasses(const tpc::Program &program,
+                       std::span<const Pass> passes);
 
 } // namespace vespera::analysis
 

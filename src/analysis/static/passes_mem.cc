@@ -50,7 +50,7 @@ void
 passNarrowAccess(PassContext &ctx)
 {
     const tpc::Program &program = *ctx.ir.program;
-    const Bytes granule = ctx.options.params.granule;
+    const Bytes granule = ctx.params.granule;
     struct Group
     {
         std::int64_t first = -1;
@@ -84,7 +84,7 @@ passNarrowAccess(PassContext &ctx)
         d.opLabel = program.label(key.first);
         d.wastedBytes = g.wasted;
         d.costCycles = g.count *
-                       ctx.options.params.memIssueIntervalCycles *
+                       ctx.params.memIssueIntervalCycles *
                        waste_frac;
         d.message = strfmt(
             "%d global %s access%s of %llu B each%s, below the %llu B "
@@ -143,7 +143,7 @@ passRandomShouldStream(PassContext &ctx)
     for (auto &[id, st] : streams) {
         if (st.current.length > st.best.length)
             st.best = st.current;
-        if (st.best.length < ctx.options.minSequentialRun)
+        if (st.best.length < kMinSequentialRun)
             continue;
         const auto first_index =
             static_cast<std::size_t>(st.best.first);
@@ -166,8 +166,8 @@ passRandomShouldStream(PassContext &ctx)
                 }
             }
         }
-        const int saved = ctx.options.params.loadLatencyRandom -
-                          ctx.options.params.loadLatencyStream;
+        const int saved = ctx.params.loadLatencyRandom -
+                          ctx.params.loadLatencyStream;
         Diagnostic d;
         d.rule = rules::randomShouldStream;
         d.severity = Severity::Warning;
@@ -273,7 +273,7 @@ passRedundantReload(PassContext &ctx)
         if (st.reloads == 0)
             continue;
         const bool fits =
-            st.uniqueBytes <= ctx.options.localMemoryBytes;
+            st.uniqueBytes <= tpc::kLocalMemoryBytes;
         Diagnostic d;
         d.rule = rules::redundantReload;
         d.severity = fits ? Severity::Warning : Severity::Info;
@@ -282,9 +282,9 @@ passRedundantReload(PassContext &ctx)
         d.wastedBytes = st.reloadedBytes;
         d.costCycles =
             static_cast<double>(
-                (st.reloadedBytes + ctx.options.params.granule - 1) /
-                ctx.options.params.granule) *
-            ctx.options.params.memIssueIntervalCycles;
+                (st.reloadedBytes + ctx.params.granule - 1) /
+                ctx.params.granule) *
+            ctx.params.memIssueIntervalCycles;
         d.message = strfmt(
             "%d loads re-read %llu B already loaded from stream #%u "
             "(unique working set %llu B %s the %llu B local memory)",
@@ -293,7 +293,7 @@ passRedundantReload(PassContext &ctx)
             static_cast<unsigned long long>(st.uniqueBytes),
             fits ? "fits in" : "exceeds",
             static_cast<unsigned long long>(
-                ctx.options.localMemoryBytes));
+                tpc::kLocalMemoryBytes));
         d.fixHint = fits
                         ? "stage the reused block once in local memory"
                         : "tile the working set through local memory";
@@ -325,7 +325,7 @@ passLocalOverflow(PassContext &ctx)
         return;
     const double frac =
         static_cast<double>(high_water) /
-        static_cast<double>(ctx.options.localMemoryBytes);
+        static_cast<double>(tpc::kLocalMemoryBytes);
     if (frac <= 0.9)
         return;
     Diagnostic d;
@@ -333,15 +333,15 @@ passLocalOverflow(PassContext &ctx)
     d.severity = frac > 1.0 ? Severity::Error : Severity::Warning;
     d.instrIndex = worst;
     d.opLabel = program.label(label);
-    d.wastedBytes = high_water > ctx.options.localMemoryBytes
-                        ? high_water - ctx.options.localMemoryBytes
+    d.wastedBytes = high_water > tpc::kLocalMemoryBytes
+                        ? high_water - tpc::kLocalMemoryBytes
                         : 0;
     d.message = strfmt(
         "local-memory working set %llu B %s the %llu B capacity "
         "(%.0f%%)",
         static_cast<unsigned long long>(high_water),
         frac > 1.0 ? "exceeds" : "approaches",
-        static_cast<unsigned long long>(ctx.options.localMemoryBytes),
+        static_cast<unsigned long long>(tpc::kLocalMemoryBytes),
         100.0 * frac);
     d.fixHint = frac > 1.0
                     ? "the kernel would fault on hardware; tile the "

@@ -108,7 +108,7 @@ passCoalescingLoss(PassContext &ctx)
     const tpc::Program &program = *ctx.ir.program;
     if (!isPortedProgram(program))
         return;
-    const Bytes granule = ctx.options.params.granule;
+    const Bytes granule = ctx.params.granule;
 
     // Flavor 1: warp accesses the lowering had to shatter into
     // per-lane transactions (strided / data-dependent addressing).
@@ -168,7 +168,7 @@ passCoalescingLoss(PassContext &ctx)
         d.opLabel = program.label(label);
         d.wastedBytes = s.wasted;
         d.costCycles = static_cast<double>(s.count) *
-                       ctx.options.params.memIssueIntervalCycles;
+                       ctx.params.memIssueIntervalCycles;
         d.message = strfmt(
             "%d warp access%s lost coalescing in the port: the lane "
             "addresses are not unit-stride, so each became a per-lane "
@@ -190,7 +190,7 @@ passCoalescingLoss(PassContext &ctx)
         d.opLabel = program.label(label);
         d.wastedBytes = n.wasted;
         d.costCycles = static_cast<double>(n.count) *
-                       ctx.options.params.memIssueIntervalCycles *
+                       ctx.params.memIssueIntervalCycles *
                        (1.0 - static_cast<double>(n.bytes) /
                                   static_cast<double>(granule));
         d.message = strfmt(
@@ -255,7 +255,7 @@ passStagingRedundancy(PassContext &ctx)
     d.opLabel = "port:shared-st";
     d.wastedBytes = 2 * bytes; // Written once, read back once.
     d.costCycles = 2.0 * static_cast<double>(staged) *
-                   ctx.options.params.loadLatencyLocal;
+                   ctx.params.loadLatencyLocal;
     d.message = strfmt(
         "%d shared-memory store%s stage unmodified global-load "
         "results (__shared__ tiling ported verbatim): on a TPC the "
@@ -279,13 +279,13 @@ passLoweredPipelining(PassContext &ctx)
         return;
     const double frac =
         ctx.schedule.dependencyStallCycles / ctx.schedule.cycles;
-    if (frac < ctx.options.portStallFrac)
+    if (frac < kPortStallFrac)
         return;
     // Anchor the finding at the worst dependency stall.
     std::int64_t worst = -1;
     double worst_stall = 0;
     for (std::size_t i = 0; i < ctx.schedule.instrs.size(); i++) {
-        const ScheduledInstr &s = ctx.schedule.instrs[i];
+        const tpc::IssuedInstr &s = ctx.schedule.instrs[i];
         if (s.cause == tpc::StallCause::Dependency &&
             s.stallCycles > worst_stall) {
             worst_stall = s.stallCycles;

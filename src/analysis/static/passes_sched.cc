@@ -3,8 +3,8 @@
  * Schedule-shape passes: dependence-height analysis (exposed latency),
  * static VLIW packing (slot imbalance), live-range / register-pressure
  * estimation, and software-pipelining opportunity detection. The first
- * two read the *predicted* schedule — the static cost model applies
- * the same issue rules the pipeline does; the last two are static-only
+ * two read the static schedule — the pipeline's own issue schedule
+ * (tpc::scheduleIssue); the last two are static-only
  * (they need loop and live-range structure the IssueTrace does not
  * carry).
  */
@@ -49,9 +49,9 @@ passExposedLatency(PassContext &ctx)
     };
     std::vector<Candidate> candidates;
     for (std::size_t i = 0; i < ctx.schedule.instrs.size(); i++) {
-        const ScheduledInstr &rec = ctx.schedule.instrs[i];
+        const tpc::IssuedInstr &rec = ctx.schedule.instrs[i];
         if (rec.cause == tpc::StallCause::Dependency &&
-            rec.stallCycles >= ctx.options.minStallCycles) {
+            rec.stallCycles >= kMinStallCycles) {
             candidates.push_back({i, rec.stallCycles, rec.criticalSrc});
         }
     }
@@ -90,7 +90,7 @@ passExposedLatency(PassContext &ctx)
             "predicted %.0f-cycle dependence stall waiting on %s%s; "
             "the chain is shorter than the %d-cycle latency window",
             c.stall, producer.c_str(), where.c_str(),
-            ctx.options.params.vectorLatency);
+            ctx.params.vectorLatency);
         d.fixHint = "interleave independent work: unroll deeper or "
                     "rotate across more accumulators";
         ctx.sink.add(std::move(d));
@@ -232,10 +232,10 @@ passRegisterPressure(PassContext &ctx)
 
     const double frac =
         static_cast<double>(peak_bytes) /
-        static_cast<double>(ctx.options.localMemoryBytes);
-    if (frac <= ctx.options.registerPressureInfoFrac)
+        static_cast<double>(tpc::kLocalMemoryBytes);
+    if (frac <= kRegisterPressureInfoFrac)
         return;
-    const bool warn = frac > ctx.options.registerPressureWarnFrac;
+    const bool warn = frac > kRegisterPressureWarnFrac;
     Diagnostic d;
     d.rule = rules::registerPressure;
     d.severity = warn ? Severity::Warning : Severity::Info;
@@ -244,16 +244,16 @@ passRegisterPressure(PassContext &ctx)
     d.opLabel = program.label(
         instrs[static_cast<std::size_t>(d.instrIndex)].opLabel);
     d.wastedBytes =
-        static_cast<Bytes>(peak_bytes) > ctx.options.localMemoryBytes
+        static_cast<Bytes>(peak_bytes) > tpc::kLocalMemoryBytes
             ? static_cast<Bytes>(peak_bytes) -
-                  ctx.options.localMemoryBytes
+                  tpc::kLocalMemoryBytes
             : 0;
     d.message = strfmt(
         "peak live SSA state is %lld values / %lld B, %.0f%% of the "
         "%llu B vector local memory",
         static_cast<long long>(peak),
         static_cast<long long>(peak_bytes), 100.0 * frac,
-        static_cast<unsigned long long>(ctx.options.localMemoryBytes));
+        static_cast<unsigned long long>(tpc::kLocalMemoryBytes));
     d.fixHint = warn ? "shorten live ranges (consume values sooner) "
                        "or tile before the allocator starts spilling"
                      : "live state is over half the budget; further "
@@ -303,8 +303,8 @@ passSwpOpportunity(PassContext &ctx)
             body_slots[static_cast<std::size_t>(instr.slot)]++;
             if (tpc::isGlobalMemAccess(instr)) {
                 body_txns += (instr.memBytes +
-                              ctx.options.params.granule - 1) /
-                             ctx.options.params.granule;
+                              ctx.params.granule - 1) /
+                             ctx.params.granule;
             }
         }
         double resource_ii = 0;
@@ -315,7 +315,7 @@ passSwpOpportunity(PassContext &ctx)
         resource_ii = std::max(
             resource_ii,
             static_cast<double>(body_txns) *
-                ctx.options.params.memIssueIntervalCycles);
+                ctx.params.memIssueIntervalCycles);
         const double bound =
             std::max(resource_ii, loop.recurrenceLatency());
         if (bound <= 0)
@@ -324,8 +324,8 @@ passSwpOpportunity(PassContext &ctx)
         const double saved =
             (achieved_ii - bound) *
             static_cast<double>(loop.tripCount - 1);
-        if (achieved_ii <= ctx.options.swpGapFactor * bound ||
-            saved < ctx.options.swpMinSavedCycles) {
+        if (achieved_ii <= kSwpGapFactor * bound ||
+            saved < kSwpMinSavedCycles) {
             continue;
         }
         Diagnostic d;

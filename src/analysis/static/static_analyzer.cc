@@ -51,25 +51,10 @@ reportViolations(const StaticIr &ir, DiagnosticSink &sink)
     }
 }
 
-void
-exportRuleCounters(const Report &report,
-                   const StaticAnalyzerOptions &options)
-{
-    if (!options.exportCounters)
-        return;
-    obs::CounterRegistry &reg = obs::CounterRegistry::instance();
-    reg.counter("analysis.static.programs").add(1.0);
-    for (const auto &[rule, summary] : report.rules) {
-        reg.counter(std::string("analysis.static.diag.") + rule)
-            .add(summary.count);
-    }
-}
-
 } // namespace
 
 StaticReport
-analyzeProgramStatic(const tpc::Program &program,
-                     const StaticAnalyzerOptions &options)
+runPasses(const tpc::Program &program, std::span<const Pass> passes)
 {
     StaticReport out;
     Report &report = out.report;
@@ -77,18 +62,14 @@ analyzeProgramStatic(const tpc::Program &program,
     report.instructions = program.instrs().size();
     for (const tpc::Instr &instr : program.instrs())
         report.slotCounts[static_cast<std::size_t>(instr.slot)]++;
-    DiagnosticSink sink(report, options.maxDiagnosticsPerRule);
+    DiagnosticSink sink(report);
 
-    LiftOptions lift;
-    lift.maxLoopPeriod = options.maxLoopPeriod;
-    lift.maxLoopNesting = options.maxLoopNesting;
-    const StaticIr ir = liftProgram(program, lift);
+    const StaticIr ir = liftProgram(program);
     if (!ir.valid()) {
         // Malformed traces get the SSA errors and nothing else — the
-        // cost model (like the pipeline replay) indexes ready-time
-        // state by value id and must not run on them.
+        // issue schedule indexes ready-time state by value id and must
+        // not run on them.
         reportViolations(ir, sink);
-        exportRuleCounters(report, options);
         return out;
     }
 
@@ -96,7 +77,8 @@ analyzeProgramStatic(const tpc::Program &program,
     out.loopCount = ir.loops.size();
     out.maxLoopDepth = ir.maxLoopDepth();
 
-    out.schedule = scheduleStatic(ir, options.params);
+    const tpc::TpcParams params = tpc::TpcParams::forGaudi2();
+    out.schedule = scheduleStatic(ir, params);
     report.cycles = out.schedule.cycles;
     report.predictedStallCycles = out.schedule.stallCycles;
     report.dependencyStallCycles =
@@ -107,22 +89,25 @@ analyzeProgramStatic(const tpc::Program &program,
     report.criticalPathCycles = out.schedule.criticalPathBound;
     // measuredStallCycles stays 0: nothing was measured.
 
-    PassContext ctx{ir, out.schedule, options, out, sink};
-    passExposedLatency(ctx);
-    passNarrowAccess(ctx);
-    passRandomShouldStream(ctx);
-    passSlotImbalance(ctx);
-    passDeadValue(ctx);
-    passRedundantReload(ctx);
-    passLocalOverflow(ctx);
-    passRegisterPressure(ctx);
-    passSwpOpportunity(ctx);
-    passDivergenceEmulation(ctx);
-    passCoalescingLoss(ctx);
-    passStagingRedundancy(ctx);
-    passLoweredPipelining(ctx);
+    PassContext ctx{ir, out.schedule, params, out, sink};
+    for (Pass pass : passes)
+        pass(ctx);
+    return out;
+}
 
-    exportRuleCounters(report, options);
+StaticReport
+analyzeProgramStatic(const tpc::Program &program,
+                     const StaticAnalyzerOptions &options)
+{
+    StaticReport out = runPasses(program, allPasses);
+    if (options.exportCounters) {
+        obs::CounterRegistry &reg = obs::CounterRegistry::instance();
+        reg.counter("analysis.static.programs").add(1.0);
+        for (const auto &[rule, summary] : out.report.rules) {
+            reg.counter(std::string("analysis.static.diag.") + rule)
+                .add(summary.count);
+        }
+    }
     return out;
 }
 

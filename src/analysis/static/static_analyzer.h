@@ -6,14 +6,15 @@
  * analyzeProgramStatic lifts the trace to SSA IR
  * (analysis/static/ir.h), runs dataflow passes over that IR, and
  * predicts issue cycles with the static cost model
- * (analysis/static/cost_model.h) — no simulator cycle is consumed.
- * analyzeProgram (analysis/analyzer.h) reports the findings of the
- * rules declared there from this pipeline and adds the measured
- * attribution. Two passes are static-only: register-pressure
- * (live-range analysis against the TPC local-memory budget) and
- * swp-opportunity (loops whose achieved initiation interval trails
- * their recurrence/resource bound, i.e. software pipelining would
- * pay); the migration-aware passes fire on ported traces only.
+ * (analysis/static/cost_model.h), which runs the simulator's issue
+ * schedule without its telemetry. analyzeProgram (analysis/analyzer.h)
+ * runs only the passes of the rules declared there and adds the
+ * simulator's measured cycles. Two passes are static-only:
+ * register-pressure (live-range analysis against the TPC local-memory
+ * budget) and swp-opportunity (loops whose achieved initiation
+ * interval trails their recurrence/resource bound, i.e. software
+ * pipelining would pay); the migration-aware passes fire on ported
+ * traces only.
  */
 
 #ifndef VESPERA_ANALYSIS_STATIC_STATIC_ANALYZER_H
@@ -56,7 +57,7 @@ struct StaticReport
     /// Diagnostics / per-rule summaries / slot counts, in the same
     /// shape analyzeProgram emits (predictedStallCycles and the
     /// per-cause stalls come from the cost model; measuredStallCycles
-    /// stays 0 — nothing was measured).
+    /// stays 0 — no simulator replay).
     Report report;
     /// The full static schedule (per-instruction issue prediction).
     StaticSchedule schedule;
@@ -74,12 +75,12 @@ struct StaticReport
     Bytes peakLiveBytes = 0;
     /// @}
 
-    /// Predicted issue cycles (schedule.cycles; the number the cost
-    /// model is cross-validated on).
+    /// Predicted issue cycles (schedule.cycles).
     double predictedCycles() const { return schedule.cycles; }
 };
 
-/** Analyze one recorded trace statically. Never runs the simulator. */
+/** Analyze one recorded trace with every static pass. Never calls
+ *  tpc::evaluatePipeline, so the tpc.* counters do not move. */
 StaticReport
 analyzeProgramStatic(const tpc::Program &program,
                      const StaticAnalyzerOptions &options = {});

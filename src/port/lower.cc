@@ -106,7 +106,7 @@ class BlockLowerer
             r.assign(static_cast<std::size_t>(desc.numRegs),
                      tpc::Vec{});
         vassert((scratchBase_ + stripWidth_) * 4 <=
-                static_cast<std::int64_t>(opts.localMemoryBytes),
+                static_cast<std::int64_t>(tpc::kLocalMemoryBytes),
                 "%s: shared memory (%lld elems) leaves no room for "
                 "lowering scratch", desc.name.c_str(),
                 static_cast<long long>(desc.sharedElems));

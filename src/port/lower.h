@@ -55,8 +55,6 @@ struct LowerOptions
     int stripUnroll = 1;
     /// TPCs offered to the dispatcher (clamped to the grid size).
     int numTpcs = 24;
-    /// TPC local-memory budget handed to the context.
-    Bytes localMemoryBytes = 80 * 1024;
 };
 
 /** Outcome of lowering + launching one desc. */

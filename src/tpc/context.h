@@ -64,7 +64,7 @@ class TpcContext
      */
     TpcContext(Program &program, const MemberRange &range,
                Bytes default_vector_bytes = 256,
-               Bytes local_memory_bytes = 80 * 1024);
+               Bytes local_memory_bytes = kLocalMemoryBytes);
 
     /// @name Index-space queries (get_index_space_information()).
     /// @{

@@ -26,6 +26,9 @@ enum class Slot : std::uint8_t {
 
 constexpr int numSlots = 4;
 
+/** TPC-private vector local memory capacity (Gaudi-2: 80 KB per TPC). */
+inline constexpr Bytes kLocalMemoryBytes = 80 * 1024;
+
 /** Memory access locality class for loads/stores. */
 enum class Access : std::uint8_t {
     Stream,  ///< Sequential addresses; HW prefetch hides HBM latency.

@@ -58,8 +58,8 @@ resultLatency(const Instr &instr, const TpcParams &params)
 }
 
 PipelineResult
-evaluatePipeline(const Program &program, const TpcParams &params,
-                 IssueTrace *trace)
+scheduleIssue(const Program &program, const TpcParams &params,
+              IssueTrace *trace)
 {
     vassert(params.clock > 0 && params.granule > 0, "bad TPC parameters");
     if (trace != nullptr) {
@@ -77,13 +77,6 @@ evaluatePipeline(const Program &program, const TpcParams &params,
     double completion = 0;
 
     PipelineResult r;
-
-    // Counter-track sampling of cumulative stall cycles (only when a
-    // trace was requested; one check per call, not per instruction).
-    obs::Profiler &profiler = obs::Profiler::instance();
-    const bool sampling = profiler.enabled();
-    const std::size_t sample_every = 64;
-    std::size_t since_sample = 0;
 
     for (const Instr &instr : program.instrs()) {
         double t = last_issue;
@@ -138,11 +131,6 @@ evaluatePipeline(const Program &program, const TpcParams &params,
             trace->instrs.push_back(rec);
         }
         r.instructions++;
-        if (sampling && ++since_sample >= sample_every) {
-            since_sample = 0;
-            profiler.sample("tpc.stall_cycles", t / params.clock,
-                            r.stallCycles);
-        }
 
         slot_free[static_cast<int>(instr.slot)] = t + 1;
         last_issue = t;
@@ -161,7 +149,34 @@ evaluatePipeline(const Program &program, const TpcParams &params,
         r.memConcurrency = static_cast<double>(r.randomAccesses) *
                            params.loadLatencyRandom / r.cycles;
     }
+    return r;
+}
+
+PipelineResult
+evaluatePipeline(const Program &program, const TpcParams &params,
+                 IssueTrace *trace)
+{
+    // Counter-track sampling of cumulative stall cycles, read back from
+    // the issue schedule; the untraced path schedules without one.
+    obs::Profiler &profiler = obs::Profiler::instance();
+    const bool sampling = profiler.enabled();
+    IssueTrace local;
+    if (sampling && trace == nullptr)
+        trace = &local;
+
+    const PipelineResult r = scheduleIssue(program, params, trace);
+
     if (sampling) {
+        const std::size_t sample_every = 64;
+        double cumulative = 0;
+        for (std::size_t i = 0; i < trace->instrs.size(); i++) {
+            cumulative += trace->instrs[i].stallCycles;
+            if ((i + 1) % sample_every == 0) {
+                profiler.sample("tpc.stall_cycles",
+                                trace->instrs[i].issueCycle / params.clock,
+                                cumulative);
+            }
+        }
         profiler.sample("tpc.stall_cycles", r.cycles / params.clock,
                         r.stallCycles);
     }

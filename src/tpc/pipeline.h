@@ -88,8 +88,7 @@ struct IssuedInstr
  * Full issue schedule of one trace. `instrs[i]` corresponds to
  * `program.instrs()[i]`; the per-instruction stalls plus `drainStall`
  * sum exactly to PipelineResult::stallCycles, which is what lets the
- * static analyzer attribute every stall cycle to a cause without a
- * second, drift-prone copy of the timing rules.
+ * analyzers attribute every stall cycle to a cause.
  */
 struct IssueTrace
 {
@@ -99,18 +98,28 @@ struct IssueTrace
 };
 
 /**
- * Evaluate the trace under the timing model. When `trace` is non-null
- * it is filled with the per-instruction issue schedule.
+ * Schedule the trace under the timing model: the one TPC issue loop
+ * the simulator and the static analyzers share. When `trace` is
+ * non-null it is filled with the per-instruction issue schedule. Pure:
+ * no counter, span, profiler sample or self-profile charge.
+ */
+PipelineResult scheduleIssue(const Program &program,
+                             const TpcParams &params,
+                             IssueTrace *trace = nullptr);
+
+/**
+ * scheduleIssue plus the simulator's telemetry: adds the result to the
+ * tpc.* counters and, while the profiler traces, samples the
+ * cumulative tpc.stall_cycles track every 64 instructions.
  */
 PipelineResult evaluatePipeline(const Program &program,
                                 const TpcParams &params,
                                 IssueTrace *trace = nullptr);
 
 /// @name Timing-rule hooks shared with the analyzers.
-/// Exactly the rules evaluatePipeline applies, exported so the trace
-/// analyzer (src/analysis/) and the static cost model
-/// (src/analysis/static/) consume one definition instead of keeping
-/// drift-prone copies.
+/// Exactly the rules scheduleIssue applies, exported so the static
+/// passes (src/analysis/static/) and the predictor features
+/// (src/analysis/predict/) consume one definition.
 /// @{
 
 /** True when `instr` touches memory at all (loads, stores, scalar

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/kernel_registry.h"
-#include "analysis/static/static_analyzer.h"
+#include "analysis/static/passes.h"
 #include "port/corpus.h"
 #include "port/lower.h"
 
@@ -120,22 +120,29 @@ TEST_F(PortPassesTest, MigrationFindingsCarryFixHintsAndCosts)
     EXPECT_TRUE(saw_migration);
 }
 
-// Raising the stall-fraction threshold above a kernel's actual stall
-// share silences lowered-pipelining: the knob is live.
-TEST_F(PortPassesTest, PipeliningThresholdIsRespected)
+// lowered-pipelining fires on a ported trace exactly when dependency
+// stalls reach kPortStallFrac of its issue cycles; the corpus holds
+// kernels on both sides of the threshold.
+TEST_F(PortPassesTest, PipeliningFiresAtTheStallThreshold)
 {
-    const tpc::Program p =
-        KernelRegistry::instance().trace("port_saxpy").program;
-    StaticAnalyzerOptions strict;
-    strict.portStallFrac = 0.99;
-    EXPECT_EQ(analyzeProgramStatic(p, strict)
-                  .report.countFor(rules::loweredPipelining),
-              0);
-    StaticAnalyzerOptions loose;
-    loose.portStallFrac = 0.01;
-    EXPECT_GT(analyzeProgramStatic(p, loose)
-                  .report.countFor(rules::loweredPipelining),
-              0);
+    int above = 0;
+    int below = 0;
+    for (const std::string &name : KernelRegistry::instance().names()) {
+        if (name.rfind("port_", 0) != 0)
+            continue;
+        const StaticReport r = analyze(name.c_str());
+        ASSERT_GT(r.schedule.cycles, 0.0) << name;
+        const double frac =
+            r.schedule.dependencyStallCycles / r.schedule.cycles;
+        const bool fires = frac >= kPortStallFrac;
+        EXPECT_EQ(r.report.countFor(rules::loweredPipelining),
+                  fires ? 1 : 0)
+            << name << " stall fraction " << frac;
+        (fires ? above : below)++;
+    }
+    EXPECT_GT(above, 0);
+    EXPECT_GT(below, 0);
+    EXPECT_EQ(kPortStallFrac, 0.10);
 }
 
 } // namespace

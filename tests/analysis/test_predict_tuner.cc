@@ -48,7 +48,7 @@ TEST(PredictTuner, TopOneMatchesExhaustiveSearch)
     for (const std::string &name : names) {
         const TunableKernel &k = TunableRegistry::instance().get(name);
         const TuneResult res = autotuneKernel(k, opts);
-        const TuneCandidate oracle = exhaustiveBest(k, opts);
+        const TuneCandidate oracle = exhaustiveBest(k);
         // Agreement on the achieved cycles, not the config identity:
         // distinct configs can tie exactly (e.g. TPC counts beyond
         // the row count produce identical per-TPC traces).
@@ -71,7 +71,7 @@ TEST(PredictTuner, MmeGeometryMatchesExhaustive)
         const TunableKernel &k = TunableRegistry::instance().get(name);
         EXPECT_EQ(k.kind, TuneKind::Mme);
         const TuneResult res = autotuneKernel(k, opts);
-        const TuneCandidate oracle = exhaustiveBest(k, opts);
+        const TuneCandidate oracle = exhaustiveBest(k);
         EXPECT_LE(res.best.exactCycles, oracle.exactCycles + 1e-9)
             << name;
     }

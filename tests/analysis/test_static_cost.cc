@@ -1,12 +1,10 @@
 /**
  * @file
- * Cross-validation of the static cost model against the cycle
- * simulator — the tentpole acceptance criteria:
+ * The static cost model against the cycle simulator:
  *
- *  - predicted issue cycles within ±10% of tpc::evaluatePipeline's
- *    measurement for every registered kernel (the two predictors are
- *    independent: the cost model consumes only the lifted IR, never
- *    the IssueTrace — divergence means one of them has a bug);
+ *  - the static schedule is the simulator's issue schedule: equal
+ *    cycles, per-cause stalls and per-instruction records on every
+ *    registered kernel (both run tpc::scheduleIssue);
  *  - analyzeProgram reports the static passes' counts for every rule
  *    it shares with them;
  *  - the vespera-lint-static/v1 JSON document shape.
@@ -14,7 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <set>
 
 #include "analysis/analyzer.h"
@@ -44,11 +42,9 @@ class StaticCostTest : public ::testing::Test
     void SetUp() override { registerBuiltinKernels(); }
 };
 
-// Acceptance criterion: ±10% on all registered kernels, enforced as a
-// tier-1 ctest. In practice the two predictors agree exactly — both
-// derive from the same issue rules — so any drift inside the band is
-// still a flag worth reading the assertion message for.
-TEST_F(StaticCostTest, PredictsIssueCyclesWithinTenPercent)
+// The static cost model schedules with the simulator's issue loop, so
+// its cycles equal the measurement exactly on every registered kernel.
+TEST_F(StaticCostTest, PredictsIssueCyclesExactly)
 {
     const auto traced = KernelRegistry::instance().traceAll();
     ASSERT_GE(traced.size(), 11u);
@@ -58,37 +54,57 @@ TEST_F(StaticCostTest, PredictsIssueCyclesWithinTenPercent)
         const StaticReport predicted =
             analyzeProgramStatic(t.program);
         ASSERT_GT(measured.cycles, 0.0) << t.name;
-        const double err =
-            std::abs(predicted.predictedCycles() - measured.cycles) /
-            measured.cycles;
-        EXPECT_LE(err, 0.10)
-            << t.name << ": static=" << predicted.predictedCycles()
-            << " simulator=" << measured.cycles
-            << " — simulator-or-cost-model bug";
+        EXPECT_EQ(predicted.predictedCycles(), measured.cycles)
+            << t.name;
     }
 }
 
-// The per-cause stall attribution must also track the simulator, not
-// just the total (a cost model that lands the right total for the
-// wrong reason would mislead every downstream diagnostic).
+// The per-cause stall attribution equals the simulator's too, not just
+// the total.
 TEST_F(StaticCostTest, StallAttributionTracksSimulator)
 {
     for (const TracedKernel &t :
          KernelRegistry::instance().traceAll()) {
         const Report trace = analyzeProgram(t.program);
         const StaticReport st = analyzeProgramStatic(t.program);
-        EXPECT_NEAR(st.report.predictedStallCycles,
-                    trace.predictedStallCycles,
-                    0.10 * trace.predictedStallCycles + 1e-6)
+        EXPECT_EQ(st.report.predictedStallCycles,
+                  trace.measuredStallCycles)
             << t.name;
-        EXPECT_NEAR(st.report.dependencyStallCycles,
-                    trace.dependencyStallCycles,
-                    0.10 * trace.dependencyStallCycles + 1e-6)
+        EXPECT_EQ(st.report.dependencyStallCycles,
+                  trace.dependencyStallCycles)
             << t.name;
-        EXPECT_NEAR(st.report.memoryStallCycles,
-                    trace.memoryStallCycles,
-                    0.10 * trace.memoryStallCycles + 1e-6)
+        EXPECT_EQ(st.report.memoryStallCycles, trace.memoryStallCycles)
             << t.name;
+        EXPECT_EQ(st.report.slotStallCycles, trace.slotStallCycles)
+            << t.name;
+        EXPECT_EQ(st.report.drainStallCycles, trace.drainStallCycles)
+            << t.name;
+    }
+}
+
+// Instruction by instruction, the static schedule is the IssueTrace the
+// simulator produces for the same program.
+TEST_F(StaticCostTest, ScheduleRecordsEqualIssueTrace)
+{
+    for (const TracedKernel &t :
+         KernelRegistry::instance().traceAll()) {
+        tpc::IssueTrace trace;
+        (void)tpc::evaluatePipeline(t.program,
+                                    tpc::TpcParams::forGaudi2(), &trace);
+        const StaticSchedule s =
+            analyzeProgramStatic(t.program).schedule;
+        ASSERT_EQ(s.instrs.size(), trace.instrs.size()) << t.name;
+        for (std::size_t i = 0; i < s.instrs.size(); i++) {
+            const tpc::IssuedInstr &a = s.instrs[i];
+            const tpc::IssuedInstr &b = trace.instrs[i];
+            ASSERT_EQ(a.issueCycle, b.issueCycle) << t.name << " @" << i;
+            ASSERT_EQ(a.stallCycles, b.stallCycles)
+                << t.name << " @" << i;
+            ASSERT_EQ(a.cause, b.cause) << t.name << " @" << i;
+            ASSERT_EQ(a.criticalSrc, b.criticalSrc)
+                << t.name << " @" << i;
+        }
+        EXPECT_EQ(s.drainStallCycles, trace.drainStall) << t.name;
     }
 }
 
@@ -136,8 +152,8 @@ TEST_F(StaticCostTest, ScheduleRespectsItsLowerBounds)
     }
 }
 
-// Exact agreement on a hand-built trace: the shared issue rules mean
-// the static scheduler and the pipeline see the same machine.
+// Exact agreement on a hand-built trace: the static scheduler and the
+// pipeline run the same issue loop.
 TEST_F(StaticCostTest, ExactAgreementOnSerialChain)
 {
     Program p;

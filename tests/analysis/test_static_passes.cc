@@ -116,34 +116,52 @@ TEST(StaticPasses, RandomShouldStreamConfirmsAffineStride)
     }
 }
 
-TEST(StaticPasses, RegisterPressureFlagsLongLiveRanges)
+/** `n` full-granule loads all live until a reduction at the end: peak
+ *  live state is n x 64 lanes x 4 B. */
+Program
+liveLoads(int n)
 {
-    // 64 loads all live until the reduction at the end: peak live
-    // state is 64 x 64 lanes x 4 B = 16 KB.
     Program p;
     TpcContext ctx(p, oneTpc());
     Tensor t({1 << 16}, DataType::FP32);
     std::vector<Vec> xs;
-    for (int i = 0; i < 64; i++)
+    for (int i = 0; i < n; i++)
         xs.push_back(ctx.v_ld_tnsr({i * 64, 0, 0, 0, 0}, t, 256));
     Vec acc = xs[0];
-    for (int i = 1; i < 64; i++)
+    for (int i = 1; i < n; i++)
         acc = ctx.v_add(acc, xs[static_cast<std::size_t>(i)]);
     ctx.v_st_tnsr({0, 0, 0, 0, 0}, t, acc);
+    return p;
+}
 
-    StaticAnalyzerOptions opt;
-    opt.localMemoryBytes = 8 * 1024; // Force the budget comparison.
-    const StaticReport r = analyzeProgramStatic(p, opt);
-    EXPECT_GE(r.peakLiveBytes, 16u * 1024u);
-    EXPECT_GE(r.maxLiveValues, 64u);
-    ASSERT_EQ(r.report.countFor(rules::registerPressure), 1);
+Severity
+registerPressureSeverity(const StaticReport &r)
+{
     for (const Diagnostic &d : r.report.diagnostics) {
         if (d.rule == rules::registerPressure)
-            EXPECT_EQ(d.severity, Severity::Warning);
+            return d.severity;
     }
+    ADD_FAILURE() << "no register-pressure diagnostic";
+    return Severity::Info;
+}
 
-    // At the real 80 KB budget the same trace is fine.
-    const StaticReport ok = analyzeProgramStatic(p);
+TEST(StaticPasses, RegisterPressureFlagsLongLiveRanges)
+{
+    // 300 x 256 B = 75 KB live: over 90% of the 80 KB budget.
+    const StaticReport r = analyzeProgramStatic(liveLoads(300));
+    EXPECT_GE(r.peakLiveBytes, 300u * 256u);
+    EXPECT_GE(r.maxLiveValues, 300u);
+    ASSERT_EQ(r.report.countFor(rules::registerPressure), 1);
+    EXPECT_EQ(registerPressureSeverity(r), Severity::Warning);
+
+    // 200 x 256 B = 50 KB: over half the budget, an Info.
+    const StaticReport info = analyzeProgramStatic(liveLoads(200));
+    ASSERT_EQ(info.report.countFor(rules::registerPressure), 1);
+    EXPECT_EQ(registerPressureSeverity(info), Severity::Info);
+
+    // 64 x 256 B = 16 KB is fine.
+    const StaticReport ok = analyzeProgramStatic(liveLoads(64));
+    EXPECT_GE(ok.peakLiveBytes, 16u * 1024u);
     EXPECT_EQ(ok.report.countFor(rules::registerPressure), 0);
 }
 
@@ -177,27 +195,37 @@ TEST(StaticPasses, SwpQuietOnResourceBoundLoop)
     EXPECT_EQ(r.report.countFor(rules::swpOpportunity), 0);
 }
 
-TEST(StaticPasses, LocalOverflowEscalatesToError)
+/** One 64-lane local store ending at element `end`, on a context
+ *  with room past the 80 KB TPC local memory. */
+Program
+localStoreEndingAt(std::int64_t end)
 {
     Program p;
-    TpcContext ctx(p, oneTpc());
+    TpcContext ctx(p, oneTpc(), 256, 4 * tpc::kLocalMemoryBytes);
     Vec z = ctx.v_zero(64);
-    ctx.v_st_local(1000, z); // High-water (1000 + 64) * 4 B.
-    StaticAnalyzerOptions opt;
-    opt.localMemoryBytes = 2 * 1024;
-    const StaticReport r = analyzeProgramStatic(p, opt);
-    EXPECT_EQ(r.report.localBytesUsed, (1000u + 64u) * 4u);
+    ctx.v_st_local(end - 64, z);
+    return p;
+}
+
+TEST(StaticPasses, LocalOverflowEscalatesToError)
+{
+    // 82176 B > 81920 B: over capacity.
+    const StaticReport r =
+        analyzeProgramStatic(localStoreEndingAt(20544));
+    EXPECT_EQ(r.report.localBytesUsed, 20544u * 4u);
     ASSERT_EQ(r.report.countFor(rules::localOverflow), 1);
     EXPECT_TRUE(r.report.hasSeverity(Severity::Error));
 
-    opt.localMemoryBytes = 4500; // 95% used -> Warning.
-    const StaticReport warn = analyzeProgramStatic(p, opt);
+    // 77824 B: 95% used -> Warning.
+    const StaticReport warn =
+        analyzeProgramStatic(localStoreEndingAt(19456));
     EXPECT_EQ(warn.report.countFor(rules::localOverflow), 1);
     EXPECT_TRUE(warn.report.hasSeverity(Severity::Warning));
     EXPECT_FALSE(warn.report.hasSeverity(Severity::Error));
 
-    opt.localMemoryBytes = 80 * 1024; // 5% used -> clean.
-    const StaticReport clean = analyzeProgramStatic(p, opt);
+    // 4256 B: 5% used -> clean.
+    const StaticReport clean =
+        analyzeProgramStatic(localStoreEndingAt(1064));
     EXPECT_EQ(clean.report.countFor(rules::localOverflow), 0);
 }
 
@@ -220,17 +248,16 @@ TEST(StaticPasses, InvalidSsaShortCircuitsWithErrors)
 
 TEST(StaticPasses, PerRuleEmissionCapKeepsFullCounts)
 {
-    StaticAnalyzerOptions opt;
-    opt.maxDiagnosticsPerRule = 2;
-    const StaticReport r = analyzeProgramStatic(serialChain(64), opt);
+    const StaticReport r = analyzeProgramStatic(serialChain(64));
     const int total = r.report.countFor(rules::exposedLatency);
-    EXPECT_GT(total, 2);
+    EXPECT_GT(total, kMaxDiagnosticsPerRule);
     int emitted = 0;
     for (const Diagnostic &d : r.report.diagnostics) {
         if (d.rule == rules::exposedLatency)
             emitted++;
     }
-    EXPECT_EQ(emitted, 2);
+    EXPECT_EQ(emitted, 8);
+    EXPECT_EQ(kMaxDiagnosticsPerRule, 8);
 }
 
 TEST(StaticPasses, InterleavedChainsStallLess)

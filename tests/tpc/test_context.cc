@@ -192,7 +192,7 @@ TEST_F(ContextTest, LocalMemoryOverflowPanics)
 {
     Tensor a({64}, DataType::FP32);
     Vec v = ctx_.v_ld_tnsr({0, 0, 0, 0, 0}, a);
-    EXPECT_DEATH(ctx_.v_st_local(80 * 1024 / 4 - 10, v),
+    EXPECT_DEATH(ctx_.v_st_local(kLocalMemoryBytes / 4 - 10, v),
                  "local memory overflow");
 }
 

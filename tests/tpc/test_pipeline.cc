@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "obs/counters.h"
+#include "obs/profiler.h"
 #include "tpc/context.h"
 #include "tpc/pipeline.h"
 
@@ -175,6 +177,61 @@ TEST(Pipeline, TraceArgumentDoesNotChangeTiming)
     EXPECT_DOUBLE_EQ(with.cycles, without.cycles);
     EXPECT_DOUBLE_EQ(with.stallCycles, without.stallCycles);
     EXPECT_EQ(with.busBytes, without.busBytes);
+}
+
+// scheduleIssue is the simulator's issue loop without its telemetry;
+// evaluatePipeline adds the tpc.* counters.
+TEST(Pipeline, ScheduleIssueMovesNoCounter)
+{
+    TpcParams params = TpcParams::forGaudi2();
+    Program p = buildAddTrace(16, 4);
+    obs::Counter &instrs =
+        obs::CounterRegistry::instance().counter("tpc.instructions");
+    const double before = instrs.value();
+    IssueTrace trace;
+    const PipelineResult pure = scheduleIssue(p, params, &trace);
+    EXPECT_EQ(instrs.value(), before);
+    const PipelineResult timed = evaluatePipeline(p, params);
+    EXPECT_EQ(instrs.value(), before + static_cast<double>(p.instrs().size()));
+    EXPECT_EQ(pure.cycles, timed.cycles);
+    EXPECT_EQ(pure.stallCycles, timed.stallCycles);
+}
+
+// While the profiler traces, the cumulative stall track is sampled at
+// every 64th issued instruction and once at the end, read back from
+// the issue schedule.
+TEST(Pipeline, StallTrackSamplesFollowTheSchedule)
+{
+    TpcParams params = TpcParams::forGaudi2();
+    Program p = buildAddTrace(48, 4);
+    IssueTrace trace;
+    const PipelineResult r = scheduleIssue(p, params, &trace);
+
+    obs::Profiler &profiler = obs::Profiler::instance();
+    profiler.clear();
+    profiler.setEnabled(true);
+    evaluatePipeline(p, params);
+    profiler.setEnabled(false);
+    std::vector<obs::TrackSample> samples;
+    for (const obs::TrackSample &s : profiler.samples()) {
+        if (s.track == "tpc.stall_cycles")
+            samples.push_back(s);
+    }
+    profiler.clear();
+
+    ASSERT_EQ(samples.size(), p.instrs().size() / 64 + 1);
+    double cumulative = 0;
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < trace.instrs.size(); i++) {
+        cumulative += trace.instrs[i].stallCycles;
+        if ((i + 1) % 64 != 0)
+            continue;
+        EXPECT_EQ(samples[k].t, trace.instrs[i].issueCycle / params.clock);
+        EXPECT_EQ(samples[k].value, cumulative);
+        k++;
+    }
+    EXPECT_EQ(samples.back().t, r.cycles / params.clock);
+    EXPECT_EQ(samples.back().value, r.stallCycles);
 }
 
 TEST(Pipeline, LocalAccessesAvoidGlobalBus)
