@@ -147,10 +147,7 @@ EmbeddingLayerGaudi::EmbeddingLayerGaudi(const EmbeddingConfig &config)
         config.rowsPerTable * config.numTables;
     tables_ = std::make_unique<tpc::Tensor>(
         std::vector<std::int64_t>{lanes_, total_rows}, config.dt);
-    const std::int64_t lanes = lanes_;
-    tables_->fill([lanes](std::int64_t flat) {
-        return rowValue(flat / lanes);
-    });
+    tables_->fillRows(rowValue);
 }
 
 EmbeddingResult

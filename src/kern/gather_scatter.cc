@@ -9,6 +9,13 @@
 
 namespace vespera::kern {
 
+namespace {
+
+/// Value a scatter writes; outside the 0..60 range of the fill.
+constexpr float scatterPayload = -1.0f;
+
+} // namespace
+
 GatherScatterResult
 runGatherScatterGaudi(const GatherScatterConfig &c, Rng &rng)
 {
@@ -22,10 +29,10 @@ runGatherScatterGaudi(const GatherScatterConfig &c, Rng &rng)
     const auto num_accesses = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(c.accessFraction * num_vectors));
 
+    // Row r holds the constant r % 61.
     tpc::Tensor array({lanes, num_vectors}, c.dt);
-    array.fill([lanes](std::int64_t i) {
-        return static_cast<float>((i / lanes) % 61);
-    });
+    array.fillRows(
+        [](std::int64_t row) { return static_cast<float>(row % 61); });
     // Index list, read by the kernel in 256 B chunks.
     tpc::Tensor indices({num_accesses}, DataType::FP32);
     std::vector<std::int64_t> idx(static_cast<std::size_t>(num_accesses));
@@ -56,10 +63,15 @@ runGatherScatterGaudi(const GatherScatterConfig &c, Rng &rng)
             if (begin >= end)
                 continue;
             // Independent accumulator chains keep the reduction off the
-            // critical path (4-cycle vector latency, Section 2.2).
+            // critical path (4-cycle vector latency, Section 2.2). A
+            // scatter instead holds the payload, the same on every TPC,
+            // and stores the first register.
             std::vector<tpc::Vec> accs;
             for (int q = 0; q < num_accs; q++)
-                accs.push_back(ctx.v_zero(static_cast<int>(lanes)));
+                accs.push_back(scatter
+                                   ? ctx.v_splat(scatterPayload,
+                                                 static_cast<int>(lanes))
+                                   : ctx.v_zero(static_cast<int>(lanes)));
             constexpr std::int64_t idx_chunk = 64; // 256 B of indices.
             for (std::int64_t i = begin; i < end; i += idx_chunk) {
                 // Stage a 256 B block of indices (streaming load).
@@ -106,7 +118,24 @@ runGatherScatterGaudi(const GatherScatterConfig &c, Rng &rng)
     params.kernelName = scatter ? "scatter" : "gather";
     auto launch = dispatcher.launch(kernel, space, params);
 
-    if (!scatter) {
+    if (scatter) {
+        // Verify: every indexed row holds the payload in all lanes and
+        // every other row keeps its fill value.
+        std::vector<bool> hit(static_cast<std::size_t>(num_vectors));
+        for (std::int64_t target : idx)
+            hit[static_cast<std::size_t>(target)] = true;
+        const float *data = array.data();
+        for (std::int64_t row = 0; row < num_vectors; row++) {
+            const float want = hit[static_cast<std::size_t>(row)]
+                                   ? scatterPayload
+                                   : static_cast<float>(row % 61);
+            bool ok = true;
+            for (std::int64_t l = 0; l < lanes; l++)
+                ok &= data[row * lanes + l] == want;
+            vassert(ok, "scatter verification failed at row %lld",
+                    static_cast<long long>(row));
+        }
+    } else {
         // Verify: the sum of all accumulators equals the reference sum
         // over the gathered rows (lane 0 suffices: rows are constant).
         double got = 0;

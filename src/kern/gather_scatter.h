@@ -48,7 +48,8 @@ struct GatherScatterResult
 
 /**
  * Run on the simulated Gaudi-2 as a TPC-C kernel (functional: gathered
- * data is checked against the source array).
+ * data is checked against the source array; a scatter's written rows
+ * and untouched rows are checked after the launch).
  */
 GatherScatterResult runGatherScatterGaudi(const GatherScatterConfig &c,
                                           Rng &rng);

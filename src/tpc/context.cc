@@ -1,26 +1,113 @@
 #include "tpc/context.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <new>
 
 #include "common/logging.h"
 
 namespace vespera::tpc {
 
+namespace {
+
+/// Buffers of up to 2^(kLaneClasses-1) lanes are recycled. Class c
+/// holds buffers of exactly 2^c lanes; the smallest holds 16.
+constexpr std::size_t kLaneClasses = 17;
+
+std::size_t
+laneClass(std::size_t n)
+{
+    return n <= 16 ? 4 : static_cast<std::size_t>(std::bit_width(n - 1));
+}
+
+/// Free buffers of one thread: an intrusive list per class, linked
+/// through each buffer's first bytes.
+struct LaneFreeList
+{
+    std::array<void *, kLaneClasses> head{};
+
+    ~LaneFreeList();
+};
+
+/// Set once this thread's list is destroyed; buffers released later in
+/// thread exit go straight back to the heap.
+thread_local bool laneListGone = false;
+thread_local LaneFreeList laneList;
+
+LaneFreeList::~LaneFreeList()
+{
+    for (void *p : head) {
+        while (p) {
+            void *next;
+            std::memcpy(&next, p, sizeof next);
+            ::operator delete(p);
+            p = next;
+        }
+    }
+    laneListGone = true;
+}
+
+} // namespace
+
+float *
+laneAlloc(std::size_t n)
+{
+    const std::size_t cls = laneClass(n);
+    if (cls < kLaneClasses && !laneListGone) {
+        void *&head = laneList.head[cls];
+        if (head) {
+            void *p = head;
+            std::memcpy(&head, p, sizeof head);
+            return static_cast<float *>(p);
+        }
+    }
+    const std::size_t lanes = cls < kLaneClasses ? std::size_t{1} << cls : n;
+    return static_cast<float *>(::operator new(lanes * sizeof(float)));
+}
+
+void
+laneFree(float *p, std::size_t n) noexcept
+{
+    const std::size_t cls = laneClass(n);
+    if (cls < kLaneClasses && !laneListGone) {
+        void *&head = laneList.head[cls];
+        std::memcpy(p, &head, sizeof head);
+        head = p;
+        return;
+    }
+    ::operator delete(p);
+}
+
+namespace {
+
+/// Instr::memStream id of the TPC-local scratchpad.
+constexpr std::uint32_t localMemStream = 1;
+
+/// Label text of each intrinsic, indexed by TpcContext::Op.
+constexpr const char *kIntrinsicNames[] = {
+    "v_ld_tnsr", "v_st_tnsr", "v_add", "v_sub", "v_mul", "v_max",
+    "v_mac", "v_mul_s", "v_mac_s", "v_zero", "v_exp", "v_reciprocal",
+    "v_rsqrt", "v_splat", "v_iota", "v_cmp_eq", "v_cmp_lt", "v_cmp_ge",
+    "v_sel", "v_reduce_max", "v_reduce_add", "v_broadcast", "s_ld",
+    "v_st_local", "v_ld_local",
+};
+
+} // namespace
+
 TpcContext::TpcContext(Program &program, const MemberRange &range,
                        Bytes default_vector_bytes, Bytes local_memory_bytes)
     : program_(program), range_(range),
       defaultVectorBytes_(default_vector_bytes),
-      localMemoryBytes_(local_memory_bytes),
-      localMem_(local_memory_bytes / 4, 0.0f)
+      localMemoryBytes_(local_memory_bytes)
 {
+    static_assert(std::size(kIntrinsicNames) ==
+                  static_cast<std::size_t>(Op::Count));
     vassert(default_vector_bytes > 0, "zero vector width");
+    labelIds_.fill(-1);
 }
-
-namespace {
-/// Instr::memStream id of the TPC-local scratchpad.
-constexpr std::uint32_t localMemStream = 1;
-} // namespace
 
 void
 TpcContext::setOpLabel(std::string_view label)
@@ -29,20 +116,35 @@ TpcContext::setOpLabel(std::string_view label)
 }
 
 std::int16_t
-TpcContext::opLabel(const char *intrinsic)
+TpcContext::opLabel(Op op)
 {
     if (userLabel_ >= 0)
         return userLabel_;
-    return program_.internLabel(intrinsic);
+    std::int16_t &id = labelIds_[static_cast<std::size_t>(op)];
+    if (id < 0)
+        id = program_.internLabel(
+            kIntrinsicNames[static_cast<std::size_t>(op)]);
+    return id;
 }
 
 std::uint32_t
 TpcContext::streamId(const void *key)
 {
-    auto [it, inserted] = streams_.try_emplace(key, nextStream_);
-    if (inserted)
-        nextStream_++;
-    return it->second;
+    for (std::size_t i = 0; i < streams_.size(); i++) {
+        if (streams_[i] == key)
+            return static_cast<std::uint32_t>(i + 2);
+    }
+    streams_.push_back(key);
+    return static_cast<std::uint32_t>(streams_.size() + 1);
+}
+
+Vec
+TpcContext::newVec(std::size_t lanes)
+{
+    Vec v;
+    v.id = program_.newValue();
+    v.lanes.resize(lanes);
+    return v;
 }
 
 Vec
@@ -55,13 +157,12 @@ TpcContext::v_ld_tnsr(const Int5 &coord, const Tensor &t, Bytes bytes,
     vassert(bytes >= es, "load smaller than one element");
     const auto lanes = static_cast<std::int64_t>(bytes / es);
 
-    Vec v;
-    v.id = program_.newValue();
-    v.lanes.resize(static_cast<std::size_t>(lanes), 0.0f);
+    Vec v = newVec(static_cast<std::size_t>(lanes));
+    // flatten() checks the coordinate; the span is clamped at the
+    // tensor end and the lanes past it stay zero.
     const std::int64_t base = t.flatten(coord);
     const std::int64_t limit = std::min(lanes, t.numElements() - base);
-    for (std::int64_t i = 0; i < limit; i++)
-        v.lanes[static_cast<std::size_t>(i)] = t.at(base + i);
+    std::copy_n(t.data() + base, limit, v.lanes.data());
 
     Instr instr;
     instr.slot = Slot::Load;
@@ -71,7 +172,7 @@ TpcContext::v_ld_tnsr(const Int5 &coord, const Tensor &t, Bytes bytes,
     instr.lanes = static_cast<std::int32_t>(lanes);
     instr.memOffset = base * static_cast<std::int64_t>(es);
     instr.memStream = streamId(t.data());
-    instr.opLabel = opLabel("v_ld_tnsr");
+    instr.opLabel = opLabel(Op::LdTnsr);
     program_.append(instr);
     return v;
 }
@@ -84,8 +185,18 @@ TpcContext::v_st_tnsr(const Int5 &coord, Tensor &t, const Vec &v,
     const std::int64_t base = t.flatten(coord);
     const std::int64_t limit =
         std::min<std::int64_t>(v.laneCount(), t.numElements() - base);
-    for (std::int64_t i = 0; i < limit; i++)
-        t.at(base + i) = v.lanes[static_cast<std::size_t>(i)];
+    float *dst = t.data() + base;
+    if (access == Access::Random) {
+        // Random stores may hit the same rows from several TPCs at
+        // once (scatter); relaxed atomic lane stores keep that
+        // race-free at the cost of a plain store.
+        for (std::int64_t i = 0; i < limit; i++)
+            std::atomic_ref<float>(dst[i]).store(
+                v.lanes[static_cast<std::size_t>(i)],
+                std::memory_order_relaxed);
+    } else {
+        std::copy_n(v.lanes.data(), limit, dst);
+    }
 
     Instr instr;
     instr.slot = Slot::Store;
@@ -97,19 +208,17 @@ TpcContext::v_st_tnsr(const Int5 &coord, Tensor &t, const Vec &v,
     instr.memOffset =
         base * static_cast<std::int64_t>(dtypeSize(t.dtype()));
     instr.memStream = streamId(t.data());
-    instr.opLabel = opLabel("v_st_tnsr");
+    instr.opLabel = opLabel(Op::StTnsr);
     program_.append(instr);
 }
 
+template <typename F>
 Vec
-TpcContext::binaryOp(const Vec &a, const Vec &b, float flops_per_lane,
-                     float (*op)(float, float), const char *name)
+TpcContext::binaryOp(const Vec &a, const Vec &b, F op, Op name)
 {
     vassert(a.laneCount() == b.laneCount(),
             "lane mismatch: %d vs %d", a.laneCount(), b.laneCount());
-    Vec r;
-    r.id = program_.newValue();
-    r.lanes.resize(a.lanes.size());
+    Vec r = newVec(a.lanes.size());
     for (std::size_t i = 0; i < a.lanes.size(); i++)
         r.lanes[i] = op(a.lanes[i], b.lanes[i]);
 
@@ -118,7 +227,7 @@ TpcContext::binaryOp(const Vec &a, const Vec &b, float flops_per_lane,
     instr.dst = r.id;
     instr.src0 = a.id;
     instr.src1 = b.id;
-    instr.flopsPerLane = flops_per_lane;
+    instr.flopsPerLane = 1.0f;
     instr.lanes = a.laneCount();
     instr.opLabel = opLabel(name);
     program_.append(instr);
@@ -128,30 +237,26 @@ TpcContext::binaryOp(const Vec &a, const Vec &b, float flops_per_lane,
 Vec
 TpcContext::v_add(const Vec &a, const Vec &b)
 {
-    return binaryOp(a, b, 1.0f, [](float x, float y) { return x + y; },
-                    "v_add");
+    return binaryOp(a, b, [](float x, float y) { return x + y; }, Op::Add);
 }
 
 Vec
 TpcContext::v_sub(const Vec &a, const Vec &b)
 {
-    return binaryOp(a, b, 1.0f, [](float x, float y) { return x - y; },
-                    "v_sub");
+    return binaryOp(a, b, [](float x, float y) { return x - y; }, Op::Sub);
 }
 
 Vec
 TpcContext::v_mul(const Vec &a, const Vec &b)
 {
-    return binaryOp(a, b, 1.0f, [](float x, float y) { return x * y; },
-                    "v_mul");
+    return binaryOp(a, b, [](float x, float y) { return x * y; }, Op::Mul);
 }
 
 Vec
 TpcContext::v_max(const Vec &a, const Vec &b)
 {
-    return binaryOp(a, b, 1.0f,
-                    [](float x, float y) { return std::max(x, y); },
-                    "v_max");
+    return binaryOp(a, b, [](float x, float y) { return std::max(x, y); },
+                    Op::Max);
 }
 
 Vec
@@ -160,9 +265,7 @@ TpcContext::v_mac(const Vec &a, const Vec &b, const Vec &acc)
     vassert(a.laneCount() == b.laneCount() &&
             a.laneCount() == acc.laneCount(),
             "lane mismatch in v_mac");
-    Vec r;
-    r.id = program_.newValue();
-    r.lanes.resize(a.lanes.size());
+    Vec r = newVec(a.lanes.size());
     for (std::size_t i = 0; i < a.lanes.size(); i++)
         r.lanes[i] = a.lanes[i] * b.lanes[i] + acc.lanes[i];
 
@@ -174,7 +277,7 @@ TpcContext::v_mac(const Vec &a, const Vec &b, const Vec &acc)
     instr.src2 = acc.id;
     instr.flopsPerLane = 2.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_mac");
+    instr.opLabel = opLabel(Op::Mac);
     program_.append(instr);
     return r;
 }
@@ -182,9 +285,7 @@ TpcContext::v_mac(const Vec &a, const Vec &b, const Vec &acc)
 Vec
 TpcContext::v_mul_s(const Vec &a, float scalar)
 {
-    Vec r;
-    r.id = program_.newValue();
-    r.lanes.resize(a.lanes.size());
+    Vec r = newVec(a.lanes.size());
     for (std::size_t i = 0; i < a.lanes.size(); i++)
         r.lanes[i] = a.lanes[i] * scalar;
 
@@ -194,7 +295,7 @@ TpcContext::v_mul_s(const Vec &a, float scalar)
     instr.src0 = a.id;
     instr.flopsPerLane = 1.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_mul_s");
+    instr.opLabel = opLabel(Op::MulS);
     program_.append(instr);
     return r;
 }
@@ -203,9 +304,7 @@ Vec
 TpcContext::v_mac_s(const Vec &a, float scalar, const Vec &acc)
 {
     vassert(a.laneCount() == acc.laneCount(), "lane mismatch in v_mac_s");
-    Vec r;
-    r.id = program_.newValue();
-    r.lanes.resize(a.lanes.size());
+    Vec r = newVec(a.lanes.size());
     for (std::size_t i = 0; i < a.lanes.size(); i++)
         r.lanes[i] = a.lanes[i] * scalar + acc.lanes[i];
 
@@ -216,7 +315,7 @@ TpcContext::v_mac_s(const Vec &a, float scalar, const Vec &acc)
     instr.src1 = acc.id;
     instr.flopsPerLane = 2.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_mac_s");
+    instr.opLabel = opLabel(Op::MacS);
     program_.append(instr);
     return r;
 }
@@ -225,15 +324,13 @@ Vec
 TpcContext::v_zero(int lanes)
 {
     vassert(lanes > 0, "zero-lane vector");
-    Vec r;
-    r.id = program_.newValue();
-    r.lanes.assign(static_cast<std::size_t>(lanes), 0.0f);
+    Vec r = newVec(static_cast<std::size_t>(lanes));
 
     Instr instr;
     instr.slot = Slot::Vector;
     instr.dst = r.id;
     instr.lanes = lanes;
-    instr.opLabel = opLabel("v_zero");
+    instr.opLabel = opLabel(Op::Zero);
     program_.append(instr);
     return r;
 }
@@ -241,9 +338,7 @@ TpcContext::v_zero(int lanes)
 Vec
 TpcContext::v_exp(const Vec &a)
 {
-    Vec r;
-    r.id = program_.newValue();
-    r.lanes.resize(a.lanes.size());
+    Vec r = newVec(a.lanes.size());
     for (std::size_t i = 0; i < a.lanes.size(); i++)
         r.lanes[i] = std::exp(a.lanes[i]);
 
@@ -254,7 +349,7 @@ TpcContext::v_exp(const Vec &a)
     // Special-function unit: several flops worth of issue per lane.
     instr.flopsPerLane = 4.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_exp");
+    instr.opLabel = opLabel(Op::Exp);
     program_.append(instr);
     return r;
 }
@@ -262,9 +357,7 @@ TpcContext::v_exp(const Vec &a)
 Vec
 TpcContext::v_reciprocal(const Vec &a)
 {
-    Vec r;
-    r.id = program_.newValue();
-    r.lanes.resize(a.lanes.size());
+    Vec r = newVec(a.lanes.size());
     for (std::size_t i = 0; i < a.lanes.size(); i++)
         r.lanes[i] = 1.0f / a.lanes[i];
 
@@ -274,7 +367,7 @@ TpcContext::v_reciprocal(const Vec &a)
     instr.src0 = a.id;
     instr.flopsPerLane = 2.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_reciprocal");
+    instr.opLabel = opLabel(Op::Reciprocal);
     program_.append(instr);
     return r;
 }
@@ -282,9 +375,7 @@ TpcContext::v_reciprocal(const Vec &a)
 Vec
 TpcContext::v_rsqrt(const Vec &a)
 {
-    Vec r;
-    r.id = program_.newValue();
-    r.lanes.resize(a.lanes.size());
+    Vec r = newVec(a.lanes.size());
     for (std::size_t i = 0; i < a.lanes.size(); i++)
         r.lanes[i] = 1.0f / std::sqrt(a.lanes[i]);
 
@@ -294,7 +385,7 @@ TpcContext::v_rsqrt(const Vec &a)
     instr.src0 = a.id;
     instr.flopsPerLane = 2.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_rsqrt");
+    instr.opLabel = opLabel(Op::Rsqrt);
     program_.append(instr);
     return r;
 }
@@ -303,15 +394,14 @@ Vec
 TpcContext::v_splat(float value, int lanes)
 {
     vassert(lanes > 0, "zero-lane splat");
-    Vec r;
-    r.id = program_.newValue();
-    r.lanes.assign(static_cast<std::size_t>(lanes), value);
+    Vec r = newVec(static_cast<std::size_t>(lanes));
+    std::fill(r.lanes.begin(), r.lanes.end(), value);
 
     Instr instr;
     instr.slot = Slot::Vector;
     instr.dst = r.id;
     instr.lanes = lanes;
-    instr.opLabel = opLabel("v_splat");
+    instr.opLabel = opLabel(Op::Splat);
     program_.append(instr);
     return r;
 }
@@ -320,9 +410,7 @@ Vec
 TpcContext::v_iota(int lanes)
 {
     vassert(lanes > 0, "zero-lane iota");
-    Vec r;
-    r.id = program_.newValue();
-    r.lanes.resize(static_cast<std::size_t>(lanes));
+    Vec r = newVec(static_cast<std::size_t>(lanes));
     for (int i = 0; i < lanes; i++)
         r.lanes[static_cast<std::size_t>(i)] = static_cast<float>(i);
 
@@ -330,7 +418,7 @@ TpcContext::v_iota(int lanes)
     instr.slot = Slot::Vector;
     instr.dst = r.id;
     instr.lanes = lanes;
-    instr.opLabel = opLabel("v_iota");
+    instr.opLabel = opLabel(Op::Iota);
     program_.append(instr);
     return r;
 }
@@ -338,25 +426,25 @@ TpcContext::v_iota(int lanes)
 Vec
 TpcContext::v_cmp_eq(const Vec &a, const Vec &b)
 {
-    return binaryOp(a, b, 1.0f,
+    return binaryOp(a, b,
                     [](float x, float y) { return x == y ? 1.0f : 0.0f; },
-                    "v_cmp_eq");
+                    Op::CmpEq);
 }
 
 Vec
 TpcContext::v_cmp_lt(const Vec &a, const Vec &b)
 {
-    return binaryOp(a, b, 1.0f,
+    return binaryOp(a, b,
                     [](float x, float y) { return x < y ? 1.0f : 0.0f; },
-                    "v_cmp_lt");
+                    Op::CmpLt);
 }
 
 Vec
 TpcContext::v_cmp_ge(const Vec &a, const Vec &b)
 {
-    return binaryOp(a, b, 1.0f,
+    return binaryOp(a, b,
                     [](float x, float y) { return x >= y ? 1.0f : 0.0f; },
-                    "v_cmp_ge");
+                    Op::CmpGe);
 }
 
 Vec
@@ -365,9 +453,7 @@ TpcContext::v_sel(const Vec &mask, const Vec &a, const Vec &b)
     vassert(mask.laneCount() == a.laneCount() &&
             mask.laneCount() == b.laneCount(),
             "lane mismatch in v_sel");
-    Vec r;
-    r.id = program_.newValue();
-    r.lanes.resize(a.lanes.size());
+    Vec r = newVec(a.lanes.size());
     for (std::size_t i = 0; i < a.lanes.size(); i++)
         r.lanes[i] = mask.lanes[i] != 0.0f ? a.lanes[i] : b.lanes[i];
 
@@ -379,7 +465,7 @@ TpcContext::v_sel(const Vec &mask, const Vec &a, const Vec &b)
     instr.src2 = b.id;
     instr.flopsPerLane = 1.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_sel");
+    instr.opLabel = opLabel(Op::Sel);
     program_.append(instr);
     return r;
 }
@@ -388,12 +474,11 @@ Vec
 TpcContext::v_reduce_max(const Vec &a)
 {
     vassert(a.laneCount() > 0, "reducing empty vector");
-    Vec r;
-    r.id = program_.newValue();
+    Vec r = newVec(1);
     float m = a.lanes[0];
     for (float v : a.lanes)
         m = std::max(m, v);
-    r.lanes = {m};
+    r.lanes[0] = m;
 
     Instr instr;
     instr.slot = Slot::Vector;
@@ -401,7 +486,7 @@ TpcContext::v_reduce_max(const Vec &a)
     instr.src0 = a.id;
     instr.flopsPerLane = 1.0f; // Tree reduction, ~1 op per lane.
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_reduce_max");
+    instr.opLabel = opLabel(Op::ReduceMax);
     program_.append(instr);
     return r;
 }
@@ -410,12 +495,11 @@ Vec
 TpcContext::v_reduce_add(const Vec &a)
 {
     vassert(a.laneCount() > 0, "reducing empty vector");
-    Vec r;
-    r.id = program_.newValue();
+    Vec r = newVec(1);
     double s = 0;
     for (float v : a.lanes)
         s += v;
-    r.lanes = {static_cast<float>(s)};
+    r.lanes[0] = static_cast<float>(s);
 
     Instr instr;
     instr.slot = Slot::Vector;
@@ -423,7 +507,7 @@ TpcContext::v_reduce_add(const Vec &a)
     instr.src0 = a.id;
     instr.flopsPerLane = 1.0f;
     instr.lanes = a.laneCount();
-    instr.opLabel = opLabel("v_reduce_add");
+    instr.opLabel = opLabel(Op::ReduceAdd);
     program_.append(instr);
     return r;
 }
@@ -432,16 +516,15 @@ Vec
 TpcContext::v_broadcast(const Vec &a, int lanes)
 {
     vassert(a.laneCount() >= 1 && lanes > 0, "bad broadcast");
-    Vec r;
-    r.id = program_.newValue();
-    r.lanes.assign(static_cast<std::size_t>(lanes), a.lanes[0]);
+    Vec r = newVec(static_cast<std::size_t>(lanes));
+    std::fill(r.lanes.begin(), r.lanes.end(), a.lanes[0]);
 
     Instr instr;
     instr.slot = Slot::Vector;
     instr.dst = r.id;
     instr.src0 = a.id;
     instr.lanes = lanes;
-    instr.opLabel = opLabel("v_broadcast");
+    instr.opLabel = opLabel(Op::Broadcast);
     program_.append(instr);
     return r;
 }
@@ -449,7 +532,8 @@ TpcContext::v_broadcast(const Vec &a, int lanes)
 float
 TpcContext::s_ld(const Int5 &coord, const Tensor &t, Access access)
 {
-    const float value = t.at(coord);
+    const std::int64_t flat = t.flatten(coord);
+    const float value = t.data()[flat];
 
     Instr instr;
     instr.slot = Slot::Scalar;
@@ -458,9 +542,9 @@ TpcContext::s_ld(const Int5 &coord, const Tensor &t, Access access)
     instr.access = access;
     instr.lanes = 1;
     instr.memOffset =
-        t.flatten(coord) * static_cast<std::int64_t>(dtypeSize(t.dtype()));
+        flat * static_cast<std::int64_t>(dtypeSize(t.dtype()));
     instr.memStream = streamId(t.data());
-    instr.opLabel = opLabel("s_ld");
+    instr.opLabel = opLabel(Op::SLd);
     program_.append(instr);
     return value;
 }
@@ -474,9 +558,10 @@ TpcContext::v_st_local(std::int64_t elem_offset, const Vec &v)
             "local memory overflow: %lld lanes > %llu bytes",
             static_cast<long long>(end),
             static_cast<unsigned long long>(localMemoryBytes_));
-    for (int i = 0; i < v.laneCount(); i++)
-        localMem_[static_cast<std::size_t>(elem_offset + i)] =
-            v.lanes[static_cast<std::size_t>(i)];
+    if (static_cast<std::size_t>(end) > localMem_.size())
+        localMem_.resize(static_cast<std::size_t>(end), 0.0f);
+    std::copy(v.lanes.begin(), v.lanes.end(),
+              localMem_.begin() + elem_offset);
     localHighWater_ = std::max(localHighWater_, end);
 
     Instr instr;
@@ -487,7 +572,7 @@ TpcContext::v_st_local(std::int64_t elem_offset, const Vec &v)
     instr.lanes = v.laneCount();
     instr.memOffset = elem_offset * 4;
     instr.memStream = localMemStream;
-    instr.opLabel = opLabel("v_st_local");
+    instr.opLabel = opLabel(Op::StLocal);
     program_.append(instr);
 }
 
@@ -497,12 +582,14 @@ TpcContext::v_ld_local(std::int64_t elem_offset, int lanes)
     vassert(elem_offset >= 0 && lanes > 0, "bad local load");
     vassert(static_cast<Bytes>(elem_offset + lanes) * 4 <=
             localMemoryBytes_, "local memory read out of bounds");
-    Vec v;
-    v.id = program_.newValue();
-    v.lanes.resize(static_cast<std::size_t>(lanes));
-    for (int i = 0; i < lanes; i++)
-        v.lanes[static_cast<std::size_t>(i)] =
-            localMem_[static_cast<std::size_t>(elem_offset + i)];
+    Vec v = newVec(static_cast<std::size_t>(lanes));
+    // Local memory never written reads as zero.
+    const auto written = std::clamp<std::int64_t>(
+        static_cast<std::int64_t>(localMem_.size()) - elem_offset, 0,
+        lanes);
+    if (written > 0)
+        std::copy_n(localMem_.data() + elem_offset, written,
+                    v.lanes.data());
 
     Instr instr;
     instr.slot = Slot::Load;
@@ -512,7 +599,7 @@ TpcContext::v_ld_local(std::int64_t elem_offset, int lanes)
     instr.lanes = lanes;
     instr.memOffset = elem_offset * 4;
     instr.memStream = localMemStream;
-    instr.opLabel = opLabel("v_ld_local");
+    instr.opLabel = opLabel(Op::LdLocal);
     program_.append(instr);
     return v;
 }

@@ -16,8 +16,9 @@
 #ifndef VESPERA_TPC_CONTEXT_H
 #define VESPERA_TPC_CONTEXT_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string_view>
 #include <vector>
 
@@ -26,11 +27,55 @@
 
 namespace vespera::tpc {
 
+/// @name Lane storage recycling.
+/// Vector lanes live in buffers recycled through a per-thread free list
+/// (one list per power-of-two capacity), so the hot path does not reach
+/// the heap once a thread has seen its widest working set. A buffer
+/// freed on another thread joins that thread's list; every list is
+/// freed at its thread's exit.
+/// @{
+float *laneAlloc(std::size_t n);
+void laneFree(float *p, std::size_t n) noexcept;
+
+/** Allocator of Vec lanes, backed by laneAlloc / laneFree. */
+template <typename T>
+struct LaneAllocator
+{
+    static_assert(sizeof(T) == sizeof(float));
+    using value_type = T;
+
+    LaneAllocator() = default;
+    template <typename U>
+    LaneAllocator(const LaneAllocator<U> &) noexcept
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        return reinterpret_cast<T *>(laneAlloc(n));
+    }
+    void
+    deallocate(T *p, std::size_t n) noexcept
+    {
+        laneFree(reinterpret_cast<float *>(p), n);
+    }
+
+    friend bool
+    operator==(const LaneAllocator &, const LaneAllocator &)
+    {
+        return true;
+    }
+};
+
+using Lanes = std::vector<float, LaneAllocator<float>>;
+/// @}
+
 /** An SSA vector value: trace id plus functional lane contents. */
 struct Vec
 {
     std::int32_t id = -1;
-    std::vector<float> lanes;
+    Lanes lanes;
 
     int laneCount() const { return static_cast<int>(lanes.size()); }
 };
@@ -156,26 +201,40 @@ class TpcContext
     /// @}
 
   private:
-    Vec binaryOp(const Vec &a, const Vec &b, float flops_per_lane,
-                 float (*op)(float, float), const char *name);
+    /// Every intrinsic, in the order of kIntrinsicNames (context.cc).
+    enum class Op : std::uint8_t {
+        LdTnsr, StTnsr, Add, Sub, Mul, Max, Mac, MulS, MacS, Zero, Exp,
+        Reciprocal, Rsqrt, Splat, Iota, CmpEq, CmpLt, CmpGe, Sel,
+        ReduceMax, ReduceAdd, Broadcast, SLd, StLocal, LdLocal, Count
+    };
+
+    template <typename F>
+    Vec binaryOp(const Vec &a, const Vec &b, F op, Op name);
+
+    /// A fresh SSA value with `lanes` zero lanes.
+    Vec newVec(std::size_t lanes);
 
     /// Label recorded on the next instruction: the user phase label
-    /// when set, otherwise the intrinsic's own name.
-    std::int16_t opLabel(const char *intrinsic);
+    /// when set, otherwise the intrinsic's own name, interned into the
+    /// program on the intrinsic's first use in this context.
+    std::int16_t opLabel(Op op);
 
     /// Stable per-context id for the tensor / local-memory stream a
-    /// memory instruction touches (Instr::memStream).
+    /// memory instruction touches (Instr::memStream), numbered in
+    /// first-seen order from 2 (1 is reserved for local memory).
     std::uint32_t streamId(const void *key);
 
     Program &program_;
     MemberRange range_;
     Bytes defaultVectorBytes_;
     Bytes localMemoryBytes_;
+    /// Local memory written so far; lanes past its end read as zero.
     std::vector<float> localMem_;
     std::int64_t localHighWater_ = 0;
     std::int16_t userLabel_ = -1;
-    std::map<const void *, std::uint32_t> streams_;
-    std::uint32_t nextStream_ = 2; ///< 1 is reserved for local memory.
+    std::array<std::int16_t, static_cast<std::size_t>(Op::Count)>
+        labelIds_;
+    std::vector<const void *> streams_;
 };
 
 } // namespace vespera::tpc

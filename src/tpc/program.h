@@ -25,6 +25,15 @@ class Program
     std::size_t
     append(const Instr &instr)
     {
+        // Running totals, summed in trace order: bit-identical to a
+        // rescan of instrs().
+        flops_ += static_cast<double>(instr.flopsPerLane) * instr.lanes;
+        if (instr.slot == Slot::Load || instr.slot == Slot::Store) {
+            if (instr.access == Access::Stream)
+                streamBytes_ += instr.memBytes;
+            else if (instr.access == Access::Random)
+                randomBytes_ += instr.memBytes;
+        }
         // Trace-vector growth is the simulator's dominant allocation
         // source; report reallocations to the self-profile (one branch
         // on a relaxed atomic when --selfprof is off).
@@ -71,11 +80,11 @@ class Program
     /// @}
 
     /** Total useful flops executed by the trace. */
-    Flops flops() const;
+    Flops flops() const { return flops_; }
 
     /** Useful payload bytes moved to/from global memory, by class. */
-    Bytes streamBytes() const;
-    Bytes randomBytes() const;
+    Bytes streamBytes() const { return streamBytes_; }
+    Bytes randomBytes() const { return randomBytes_; }
 
     /** Number of random-access global transactions (for MLP modeling). */
     std::uint64_t randomTransactions(Bytes granule) const;
@@ -105,6 +114,9 @@ class Program
 
   private:
     InstrVec instrs_;
+    Flops flops_ = 0;
+    Bytes streamBytes_ = 0;
+    Bytes randomBytes_ = 0;
     std::int32_t nextValue_ = 0;
     std::string kernelName_;
     std::vector<std::string> labels_;

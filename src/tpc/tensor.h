@@ -16,6 +16,7 @@
 #ifndef VESPERA_TPC_TENSOR_H
 #define VESPERA_TPC_TENSOR_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -61,6 +62,16 @@ class Tensor
     {
         for (std::int64_t i = 0; i < numElements_; i++)
             data_[static_cast<std::size_t>(i)] = f(i);
+    }
+
+    /** Fill each dim-0 row with one value from f(row_index) -> float. */
+    template <typename F>
+    void
+    fillRows(F &&f)
+    {
+        const std::int64_t row = shape_[0];
+        for (std::int64_t r = 0; r * row < numElements_; r++)
+            std::fill_n(data_.begin() + r * row, row, f(r));
     }
 
   private:

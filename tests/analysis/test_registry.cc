@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "analysis/analyzer.h"
 #include "analysis/kernel_registry.h"
@@ -115,6 +116,31 @@ TEST_F(RegistryTest, StallPredictionMatchesPipelineOnAllKernels)
 // named embedded kernel. (Registry names are variant names —
 // "stream_triad_tuned" traces the "stream_TRIAD" kernel — so the
 // embedded name need not equal the registry name.)
+TEST_F(RegistryTest, RunningTotalsEqualATraceRescan)
+{
+    // Program keeps flops and payload bytes as running totals on
+    // append; they must equal a fresh scan of the trace bit for bit.
+    for (const TracedKernel &t :
+         KernelRegistry::instance().traceAll()) {
+        double flops = 0;
+        Bytes stream = 0, random = 0;
+        for (const tpc::Instr &i : t.program.instrs()) {
+            flops += static_cast<double>(i.flopsPerLane) * i.lanes;
+            if (i.slot != tpc::Slot::Load && i.slot != tpc::Slot::Store)
+                continue;
+            if (i.access == tpc::Access::Stream)
+                stream += i.memBytes;
+            else if (i.access == tpc::Access::Random)
+                random += i.memBytes;
+        }
+        const double got = t.program.flops();
+        EXPECT_EQ(std::memcmp(&got, &flops, sizeof got), 0)
+            << t.name << ": " << got << " vs " << flops;
+        EXPECT_EQ(t.program.streamBytes(), stream) << t.name;
+        EXPECT_EQ(t.program.randomBytes(), random) << t.name;
+    }
+}
+
 TEST_F(RegistryTest, AllKernelsRoundTripThroughLookup)
 {
     KernelRegistry &reg = KernelRegistry::instance();

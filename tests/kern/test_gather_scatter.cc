@@ -24,6 +24,17 @@ TEST(GatherScatter, GaudiGatherVerifies)
     EXPECT_EQ(r.usefulBytes, (1ull << 14) * 256);
 }
 
+TEST(GatherScatter, GaudiScatterVerifies)
+{
+    Rng rng(4);
+    GatherScatterConfig c = smallConfig(512);
+    c.scatter = true;
+    c.accessFraction = 0.5;
+    auto r = runGatherScatterGaudi(c, rng);
+    EXPECT_GT(r.hbmUtilization, 0.0);
+    EXPECT_EQ(r.usefulBytes, (1ull << 13) * 512);
+}
+
 // Key takeaway #3: Gaudi competitive at >=256 B, collapses below.
 TEST(GatherScatter, GaudiSmallVectorCollapse)
 {

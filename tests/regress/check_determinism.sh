@@ -3,10 +3,13 @@
 # runs a bench binary at 1, 2, and 8 threads and requires the metrics
 # JSON document AND the figure output on stdout to match byte-for-byte.
 #
-# The one permitted difference is the host-side pool telemetry in the
-# stdout counter summary (runtime.tasks, runtime.steals, ...), which by
-# design varies with thread count and is already excluded from the
-# metrics JSON — those lines are filtered before comparing.
+# The permitted differences are host-side telemetry in the stdout
+# counter summary, which by design varies with thread count and is
+# already excluded from the metrics JSON (obs/export.cc): the pool's
+# own counters (runtime.tasks, runtime.steals, ...) and the replay-cache
+# hit/miss counts (replay.*), which depend on how the pool interleaves
+# the serving engine's prefetches. Those lines are filtered before
+# comparing.
 #
 # Usage: check_determinism.sh <bench-binary> [extra args...]
 set -euo pipefail
@@ -23,7 +26,8 @@ run_at() {
     # Same --metrics path every run so the "wrote metrics to ..."
     # stdout line is identical; snapshot the JSON per thread count.
     "$bench" "$@" --threads="$threads" --metrics="$workdir/m.json" \
-        2>/dev/null | grep -v '^runtime\.' > "$workdir/t$threads.out"
+        2>/dev/null | grep -v -e '^runtime\.' -e '^replay\.' \
+        > "$workdir/t$threads.out"
     mv "$workdir/m.json" "$workdir/t$threads.json"
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "kern/gather_scatter.h"
 #include "kern/stream.h"
 #include "models/llama.h"
 #include "obs/capture.h"
@@ -89,6 +90,31 @@ TEST(RuntimeDeterminism, StreamSweepIdenticalAtAnyThreadCount)
                 << "point " << i << " at " << threads << " threads";
         }
     }
+}
+
+TEST(RuntimeDeterminism, ScatterIdenticalAtAnyThreadCount)
+{
+    // Every index is drawn with replacement, so TPCs on different
+    // workers store the same rows; the run verifies every row of the
+    // array (payload where indexed, fill value elsewhere).
+    PoolGuard guard;
+    auto scatter = [] {
+        kern::GatherScatterConfig c;
+        c.numVectors = 1 << 12;
+        c.vectorBytes = 256;
+        c.accessFraction = 1.0;
+        c.scatter = true;
+        c.numTpcs = 24;
+        Rng rng(77);
+        return kern::runGatherScatterGaudi(c, rng);
+    };
+    runtime::Pool::setGlobalThreads(1);
+    const kern::GatherScatterResult serial = scatter();
+    runtime::Pool::setGlobalThreads(8);
+    const kern::GatherScatterResult parallel = scatter();
+    EXPECT_EQ(parallel.time, serial.time);
+    EXPECT_EQ(parallel.usefulBytes, serial.usefulBytes);
+    EXPECT_EQ(parallel.hbmUtilization, serial.hbmUtilization);
 }
 
 TEST(RuntimeDeterminism, ServingMetricsIdenticalAcrossThreadCounts)
