@@ -45,6 +45,12 @@
  * spans/timeline samples are not captured ops, so a replayed hit
  * could not reproduce them.
  *
+ * Eviction is LRU and O(1): entries live on a recency list (least
+ * recently used at the front) that a hit, an insert and a lost fill
+ * race splice to the back, and eviction pops the front. Every access
+ * moves exactly one entry to the back, so the victim order is the
+ * order of a unique per-access tick — no scan over the entries.
+ *
  * Observability: hits/misses/inserts/evictions are `replay.<ns>.*`
  * counters updated under obs::CaptureBypass (true process-wide
  * counts) and excluded from the deterministic metrics document —
@@ -57,9 +63,11 @@
 #define VESPERA_GRAPH_REPLAY_CACHE_H
 
 #include <atomic>
-#include <cstdint>
+#include <iterator>
+#include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -112,14 +120,15 @@ class ReplayCache
     clear()
     {
         std::lock_guard<std::mutex> lock(mu_);
-        map_.clear();
+        index_.clear();
+        lru_.clear();
     }
 
     std::size_t
     entries() const
     {
         std::lock_guard<std::mutex> lock(mu_);
-        return map_.size();
+        return lru_.size();
     }
 
     void
@@ -127,7 +136,7 @@ class ReplayCache
     {
         std::lock_guard<std::mutex> lock(mu_);
         capacity_ = capacity;
-        while (map_.size() > capacity_)
+        while (lru_.size() > capacity_)
             evictLruLocked();
     }
 
@@ -155,11 +164,11 @@ class ReplayCache
 
         {
             std::unique_lock<std::mutex> lock(mu_);
-            auto it = map_.find(key);
-            if (it != map_.end()) {
-                it->second.lastUse = ++useTick_;
-                V value = it->second.value;
-                obs::SideEffectLog log = it->second.log;
+            auto it = index_.find(key);
+            if (it != index_.end()) {
+                touchLocked(it->second);
+                V value = it->second->value;
+                obs::SideEffectLog log = it->second->log;
                 lock.unlock();
                 {
                     obs::CaptureBypass bypass;
@@ -187,23 +196,22 @@ class ReplayCache
         }
         {
             std::unique_lock<std::mutex> lock(mu_);
-            auto [it, inserted] = map_.try_emplace(key);
-            if (inserted) {
+            auto it = index_.find(key);
+            if (it == index_.end()) {
                 // Store the value and a pristine copy of the log NOW —
                 // replaying first would consume the log and trip the
                 // Deferred closures' one-shot state.
-                it->second.value = value;
-                it->second.log = log;
-                it->second.lastUse = ++useTick_;
+                lru_.push_back(Entry{key, value, log});
+                index_.emplace(lru_.back().key, std::prev(lru_.end()));
                 {
                     obs::CaptureBypass bypass;
                     inserts_.add();
                 }
-                if (map_.size() > capacity_)
+                if (lru_.size() > capacity_)
                     evictLruLocked();
             } else {
                 // Concurrent filler won the race; keep its entry.
-                it->second.lastUse = ++useTick_;
+                touchLocked(it->second);
             }
         }
         // Apply this evaluation's own effects in the caller's context
@@ -215,29 +223,34 @@ class ReplayCache
   private:
     struct Entry
     {
+        std::string key; ///< Owns the bytes index_'s view points at.
         V value{};
         obs::SideEffectLog log;
-        std::uint64_t lastUse = 0;
     };
+    using Lru = std::list<Entry>;
 
+    /** Mark an entry most recently used. */
+    void
+    touchLocked(typename Lru::iterator pos)
+    {
+        lru_.splice(lru_.end(), lru_, pos);
+    }
+
+    /** Drop the least recently used entry (callers hold > capacity_). */
     void
     evictLruLocked()
     {
-        auto victim = map_.begin();
-        for (auto it = map_.begin(); it != map_.end(); ++it) {
-            if (it->second.lastUse < victim->second.lastUse)
-                victim = it;
-        }
-        if (victim != map_.end()) {
-            map_.erase(victim);
-            obs::CaptureBypass bypass;
-            evictions_.add();
-        }
+        index_.erase(lru_.front().key);
+        lru_.pop_front();
+        obs::CaptureBypass bypass;
+        evictions_.add();
     }
 
     mutable std::mutex mu_;
-    std::unordered_map<std::string, Entry> map_;
-    std::uint64_t useTick_ = 0;
+    /// Entries, least recently used first.
+    Lru lru_;
+    /// Key -> position in lru_ (splice keeps positions valid).
+    std::unordered_map<std::string_view, typename Lru::iterator> index_;
     std::size_t capacity_;
     std::atomic<bool> enabled_{true};
     obs::Counter &hits_;

@@ -229,7 +229,8 @@ Engine::RunState::RunState(Engine &engine, std::vector<Request> &reqs)
     : eng(engine), trace(reqs),
       paged(engine.config_.kvPolicy == KvPolicy::Paged),
       kv(kvTotalBlocks(engine.config_, engine.model_.config()),
-         kvBlockTokens(engine.config_)),
+         kvBlockTokens(engine.config_),
+         static_cast<std::int64_t>(reqs.size())),
       remaining(reqs.size()), delivered(reqs.size(), 0),
       c_steps(obs::CounterRegistry::instance().counter("engine.steps")),
       c_prefill_tok(obs::CounterRegistry::instance().counter(
@@ -495,7 +496,7 @@ Engine::RunState::finishPrefill(std::size_t idx)
     }
     if (requestFinished(r)) {
         r.finishTime = clock;
-        kv.release(r.id);
+        kv.release(idx);
         remaining--;
         if (flow_trace)
             releaseSlot(idx);
@@ -529,16 +530,17 @@ Engine::RunState::admitArrived()
 {
     // Admission: arrived requests into free slots, KV permitting.
     while (!waiting.empty()) {
-        const Request &r = trace[waiting.front()];
+        const std::size_t idx = waiting.front();
+        const Request &r = trace[idx];
         const bool slot_free =
             static_cast<int>(running.size() + prefill_queue.size()) <
             eng.config_.maxDecodeBatch;
         if (r.arrival > clock || !slot_free ||
-            !kv.canGrow(r.id, reserveTokens(r))) {
+            !kv.canGrow(idx, reserveTokens(r))) {
             break;
         }
-        kv.grow(r.id, reserveTokens(r));
-        prefill_queue.push_back(waiting.front());
+        kv.grow(idx, reserveTokens(r));
+        prefill_queue.push_back(idx);
         waiting.pop_front();
     }
 }
@@ -580,7 +582,7 @@ Engine::RunState::preemptScan()
         tlAdvance(clock);
     for (std::size_t k = running.size(); k-- > 0;) {
         Request &r = trace[running[k]];
-        if (!kv.grow(r.id, r.inputLen + r.generated + 1)) {
+        if (!kv.grow(running[k], r.inputLen + r.generated + 1)) {
             if (flow_trace) {
                 flowSpan(r, "decode (preempted)",
                          kLaneSlot0 + slot_of[running[k]],
@@ -589,7 +591,7 @@ Engine::RunState::preemptScan()
                 episodes[running[k]]++;
                 phase_start[running[k]] = clock;
             }
-            kv.release(r.id);
+            kv.release(running[k]);
             r.generated = 0;
             r.prefilled = false;
             r.prefillProgress = 0;
@@ -692,7 +694,7 @@ Engine::RunState::decodeChunkStep(bool has_chunk)
                              phase_start[running[k]]);
                     releaseSlot(running[k]);
                 }
-                kv.release(r.id);
+                kv.release(running[k]);
                 running.erase(running.begin() +
                               static_cast<std::ptrdiff_t>(k));
                 remaining--;

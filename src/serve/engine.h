@@ -6,9 +6,11 @@
  * Iteration-level scheduling in the ORCA/vLLM style: each engine step
  * either prefills one admitted request or decodes one token for every
  * running request. KV blocks are allocated on demand from a
- * PagedKvCache; when the pool runs dry the newest running request is
- * preempted and re-queued. Step latencies come from the LlamaModel's
- * graph execution with the configured attention backend.
+ * PagedKvCache whose sequences are the requests' indices in the trace
+ * (ids may repeat; indices cannot); when the pool runs dry the newest
+ * running request is preempted and re-queued. Step latencies come from
+ * the LlamaModel's graph execution with the configured attention
+ * backend.
  *
  * Parallelism: when the runtime pool is parallel, the engine prefetches
  * step-cost evaluations — the next decode ctx buckets at the current

@@ -106,6 +106,7 @@ struct Engine::RunState
     std::vector<Request> &trace;
 
     bool paged;
+    /// KV blocks by sequence = trace index (not Request::id).
     PagedKvCache kv;
 
     std::deque<std::size_t> waiting;

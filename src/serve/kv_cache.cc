@@ -5,11 +5,23 @@
 
 namespace vespera::serve {
 
-PagedKvCache::PagedKvCache(std::int64_t total_blocks, int block_tokens)
+PagedKvCache::PagedKvCache(std::int64_t total_blocks, int block_tokens,
+                           std::int64_t max_sequences)
     : totalBlocks_(total_blocks), blockTokens_(block_tokens),
       freeBlocks_(total_blocks)
 {
-    vassert(total_blocks > 0 && block_tokens > 0, "bad KV pool");
+    vassert(total_blocks > 0 && block_tokens > 0 && max_sequences >= 0,
+            "bad KV pool");
+    held_.assign(static_cast<std::size_t>(max_sequences), 0);
+}
+
+std::size_t
+PagedKvCache::slot(std::int64_t seq) const
+{
+    vassert(seq >= 0 && seq < static_cast<std::int64_t>(held_.size()),
+            "KV sequence %lld out of range [0, %zu)",
+            static_cast<long long>(seq), held_.size());
+    return static_cast<std::size_t>(seq);
 }
 
 std::int64_t
@@ -19,20 +31,18 @@ PagedKvCache::blocksFor(std::int64_t tokens) const
 }
 
 bool
-PagedKvCache::canGrow(std::int64_t seq_id, std::int64_t want_tokens) const
+PagedKvCache::canGrow(std::int64_t seq, std::int64_t want_tokens) const
 {
-    auto it = held_.find(seq_id);
-    const std::int64_t have = it == held_.end() ? 0 : it->second;
-    const std::int64_t need = blocksFor(want_tokens) - have;
+    const std::int64_t need = blocksFor(want_tokens) - held_[slot(seq)];
     return need <= freeBlocks_;
 }
 
 bool
-PagedKvCache::grow(std::int64_t seq_id, std::int64_t tokens)
+PagedKvCache::grow(std::int64_t seq, std::int64_t tokens)
 {
-    const std::int64_t have = held_.count(seq_id) ? held_[seq_id] : 0;
+    std::int64_t &held = held_[slot(seq)];
     const std::int64_t want = blocksFor(tokens);
-    const std::int64_t need = want - have;
+    const std::int64_t need = want - held;
     auto &registry = obs::CounterRegistry::instance();
     if (need > freeBlocks_) {
         static obs::Counter &failures =
@@ -41,8 +51,10 @@ PagedKvCache::grow(std::int64_t seq_id, std::int64_t tokens)
         return false;
     }
     if (need > 0) {
+        if (held == 0)
+            active_++;
         freeBlocks_ -= need;
-        held_[seq_id] = want;
+        held = want;
         static obs::Counter &grown =
             registry.counter("kv.blocks_allocated");
         static obs::Counter &high =
@@ -55,50 +67,15 @@ PagedKvCache::grow(std::int64_t seq_id, std::int64_t tokens)
 }
 
 void
-PagedKvCache::release(std::int64_t seq_id)
+PagedKvCache::release(std::int64_t seq)
 {
-    auto it = held_.find(seq_id);
-    if (it == held_.end())
+    std::int64_t &held = held_[slot(seq)];
+    if (held == 0)
         return;
-    freeBlocks_ += it->second;
-    held_.erase(it);
+    freeBlocks_ += held;
+    held = 0;
+    active_--;
     vassert(freeBlocks_ <= totalBlocks_, "double release");
-}
-
-ContiguousKvCache::ContiguousKvCache(std::int64_t total_tokens,
-                                     std::int64_t max_seq_tokens)
-    : totalTokens_(total_tokens), maxSeqTokens_(max_seq_tokens),
-      freeTokens_(total_tokens)
-{
-    vassert(total_tokens > 0 && max_seq_tokens > 0, "bad KV pool");
-}
-
-bool
-ContiguousKvCache::admit(std::int64_t seq_id)
-{
-    if (maxSeqTokens_ > freeTokens_)
-        return false;
-    vassert(!held_.count(seq_id), "sequence admitted twice");
-    freeTokens_ -= maxSeqTokens_;
-    held_[seq_id] = maxSeqTokens_;
-    return true;
-}
-
-void
-ContiguousKvCache::release(std::int64_t seq_id)
-{
-    auto it = held_.find(seq_id);
-    if (it == held_.end())
-        return;
-    freeTokens_ += it->second;
-    held_.erase(it);
-    vassert(freeTokens_ <= totalTokens_, "double release");
-}
-
-std::int64_t
-ContiguousKvCache::capacitySequences() const
-{
-    return totalTokens_ / maxSeqTokens_;
 }
 
 Bytes

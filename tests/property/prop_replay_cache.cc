@@ -16,10 +16,16 @@
  *  3. Bounded memory: entries() never exceeds capacity no matter how
  *     many distinct keys stream through, and eviction recomputes
  *     rather than miscomputes.
+ *  4. The LRU contract: the cache evaluates and evicts exactly like a
+ *     reference least-recently-used model, serially and (bounded,
+ *     correct values) under concurrent fills.
  */
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -228,6 +234,143 @@ TEST(ReplayCacheProperty, MemoryIsBoundedUnderEviction)
     // recompute; with capacity 32 over 1000 keys there must be both.
     EXPECT_GE(evaluations, 1000);
     EXPECT_GT(evaluations, 1032) << "eviction never recomputed";
+}
+
+/** Reference LRU: keys ordered least recently used first. */
+class LruModel
+{
+  public:
+    explicit LruModel(std::size_t capacity) : capacity_(capacity) {}
+
+    /** Access `key`; true when it had to be evaluated (a miss). */
+    bool
+    access(int key)
+    {
+        auto it = std::find(order_.begin(), order_.end(), key);
+        const bool miss = it == order_.end();
+        if (!miss)
+            order_.erase(it);
+        order_.push_back(key);
+        if (order_.size() > capacity_) {
+            order_.erase(order_.begin());
+            evictions_++;
+        }
+        return miss;
+    }
+
+    int evictions() const { return evictions_; }
+
+  private:
+    std::size_t capacity_;
+    std::vector<int> order_;
+    int evictions_ = 0;
+};
+
+double
+evictionCount(const char *ns)
+{
+    return obs::CounterRegistry::instance()
+        .counter(strfmt("replay.%s.evictions", ns))
+        .value();
+}
+
+TEST(ReplayCacheProperty, EvictionMatchesReferenceLru)
+{
+    ReplayCache<int> cache("lrutest", 32);
+    LruModel model(32);
+    const double evictions_before = evictionCount("lrutest");
+    std::vector<int> evaluated, expected;
+    Rng rng(42);
+    for (int i = 0; i < 5000; i++) {
+        // A hot set of 24 keys drawn half the time keeps hits common;
+        // the rest spread over 96 keys so evictions are common too.
+        const int key = uniformInt(rng, 0, 1) == 0 ? uniformInt(rng, 0, 23)
+                                                   : uniformInt(rng, 0, 95);
+        const int v = cache.runMemoized(strfmt("k%d", key), [&] {
+            evaluated.push_back(key);
+            return key * 7;
+        });
+        ASSERT_EQ(v, key * 7);
+        if (model.access(key))
+            expected.push_back(key);
+    }
+    EXPECT_EQ(evaluated, expected)
+        << "the cache evaluated a different key sequence than LRU";
+    EXPECT_EQ(evictionCount("lrutest") - evictions_before,
+              static_cast<double>(model.evictions()));
+    EXPECT_GT(model.evictions(), 1000);
+    EXPECT_GT(5000 - static_cast<int>(expected.size()), 1000)
+        << "stream too cold to exercise hits";
+}
+
+TEST(ReplayCacheProperty, HitsRefreshRecencyAndShrinkEvictsLruFirst)
+{
+    ReplayCache<int> cache("lrutest2", 3);
+    std::vector<std::string> evaluated;
+    auto touch = [&](const std::string &key) {
+        return cache.runMemoized(key, [&] {
+            evaluated.push_back(key);
+            return static_cast<int>(key.size());
+        });
+    };
+    touch("a");
+    touch("bb");
+    touch("ccc");
+    touch("a");    // Hit: "a" becomes most recent, "bb" least.
+    touch("dddd"); // Evicts "bb".
+    EXPECT_EQ(cache.entries(), 3u);
+    touch("a");
+    touch("ccc");
+    EXPECT_EQ(evaluated,
+              (std::vector<std::string>{"a", "bb", "ccc", "dddd"}));
+    touch("bb"); // Re-evaluated; evicts "dddd" (LRU after the hits).
+    EXPECT_EQ(evaluated.back(), "bb");
+    EXPECT_EQ(evaluated.size(), 5u);
+
+    // Recency now, least first: a, ccc, bb. Shrinking keeps the newest.
+    const double before = evictionCount("lrutest2");
+    cache.setCapacity(1);
+    EXPECT_EQ(cache.entries(), 1u);
+    EXPECT_EQ(evictionCount("lrutest2") - before, 2.0);
+    touch("bb");
+    EXPECT_EQ(evaluated.size(), 5u) << "shrinking evicted the MRU entry";
+    touch("a");
+    EXPECT_EQ(evaluated.size(), 6u);
+
+    cache.setCapacity(4);
+    cache.clear();
+    EXPECT_EQ(cache.entries(), 0u);
+    touch("a");
+    EXPECT_EQ(evaluated.size(), 7u) << "clear() kept an entry";
+    touch("a");
+    EXPECT_EQ(evaluated.size(), 7u);
+}
+
+TEST(ReplayCacheProperty, ParallelFillsStayBounded)
+{
+    constexpr std::size_t kCapacity = 8;
+    ReplayCache<int> cache("partest", kCapacity);
+    std::atomic<int> wrong{0}, overruns{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 8; t++) {
+        threads.emplace_back([&, t] {
+            Rng rng(100 + static_cast<std::uint64_t>(t));
+            for (int i = 0; i < 2000; i++) {
+                const int key = uniformInt(rng, 0, 23);
+                const int v = cache.runMemoized(strfmt("p%d", key),
+                                                [key] { return key * 5; });
+                if (v != key * 5)
+                    wrong++;
+                if (cache.entries() > kCapacity)
+                    overruns++;
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_EQ(overruns.load(), 0);
+    EXPECT_LE(cache.entries(), kCapacity);
 }
 
 } // namespace

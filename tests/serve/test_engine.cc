@@ -214,5 +214,41 @@ TEST_F(EngineTest, EventsOffByDefault)
     EXPECT_TRUE(engine.events().empty());
 }
 
+std::string
+metricsDoc(const ServingMetrics &m)
+{
+    return strfmt("makespan=%a thr=%a ttft=%a tpot=%a p99=%a "
+                  "completed=%d preempt=%d batch=%a",
+                  m.makespan, m.throughputTokensPerSec, m.meanTtft,
+                  m.meanTpot, m.p99Ttft, m.completed, m.preemptions,
+                  m.avgDecodeBatch);
+}
+
+// Request ids are labels, not KV owners: two requests that share an id
+// must not see (or free) each other's blocks. The pool here is small
+// enough that the unique-id run preempts, so sharing would show up as
+// fewer preemptions and a shorter makespan.
+TEST(Engine, DuplicateRequestIdsDoNotShareKv)
+{
+    const models::LlamaModel model(models::LlamaConfig::llama31_8b());
+    EngineConfig cfg;
+    cfg.device = DeviceKind::Gaudi2;
+    cfg.maxDecodeBatch = 64;
+    cfg.kvCacheBytes = 2ull << 30;
+    TraceConfig tc;
+    tc.numRequests = 64;
+    tc.arrivalRate = 8;
+    Rng rng(5);
+    const std::vector<Request> unique = makeDynamicTrace(tc, rng);
+    std::vector<Request> shared = unique;
+    for (Request &r : shared)
+        r.id /= 2; // Requests 2k and 2k+1 share id k.
+
+    const ServingMetrics mu = Engine(model, cfg).run(unique);
+    const ServingMetrics ms = Engine(model, cfg).run(shared);
+    EXPECT_GT(mu.preemptions, 0) << "pool too large to show sharing";
+    EXPECT_EQ(metricsDoc(ms), metricsDoc(mu));
+}
+
 } // namespace
 } // namespace vespera::serve
